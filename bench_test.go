@@ -113,7 +113,7 @@ func BenchmarkTable2(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				sl, err := tr.SLAP.Map(g)
+				sl, err := tr.SLAP.MapStream(g)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -204,22 +204,11 @@ func BenchmarkCutEnumeration(b *testing.B) {
 }
 
 // BenchmarkEndToEndSLAPMap measures the complete SLAP mapping flow on a
-// mid-size multiplier under both pipelines. two-phase enumerates every cut
-// before matching; streaming fuses matching into the enumeration wavefront,
-// retires cut storage level by level, and reuses a pooled arena across
-// iterations — the results are byte-identical, only time/allocations
-// differ.
+// mid-size multiplier: the fused streaming pipeline with a pooled arena
+// reused across iterations.
 func BenchmarkEndToEndSLAPMap(b *testing.B) {
 	tr := sharedTraining(b)
 	g := circuits.ArrayMultiplier(8)
-	b.Run("two-phase", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := tr.SLAP.Map(g); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("streaming", func(b *testing.B) {
 		b.ReportAllocs()
 		pool := cuts.NewPool(1)
@@ -446,21 +435,20 @@ func BenchmarkRepeatReplay(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.MapStreamContext(ctx, g); err != nil {
+			if _, err := s.MapStream(g); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
-		cache := mapcache.New(0)
-		opt := core.CachedOptions{Streaming: true}
-		if _, _, err := s.MapCached(ctx, g, cache, opt); err != nil {
+		req := core.Request{Policy: "slap", SLAP: s, Cache: mapcache.New(0)}
+		if _, err := core.Run(ctx, g, req); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, o, err := s.MapCached(ctx, g, cache, opt)
+			o, err := core.Run(ctx, g, req)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -484,15 +472,18 @@ func BenchmarkECORemap(b *testing.B) {
 	// 5% of the design overall.
 	edited := circuits.PerturbSpan(base, 11, 0.9, 1, 0.5)
 	ctx := context.Background()
-	_, snap, err := s.MapStreamCaptureContext(ctx, base)
+	cache := mapcache.New(0)
+	out, err := core.Run(ctx, base, core.Request{Policy: "slap", SLAP: s, Cache: cache})
 	if err != nil {
 		b.Fatal(err)
 	}
+	e, _ := cache.Get(out.Key)
+	snap := e.Snap.(*core.SlapSnapshot)
 
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.MapStreamContext(ctx, edited); err != nil {
+			if _, err := s.MapStream(edited); err != nil {
 				b.Fatal(err)
 			}
 		}

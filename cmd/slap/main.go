@@ -21,28 +21,29 @@
 // maps over a structural-choice view, so Boolean matching sees the union of
 // each node's rewrite variants.
 //
-// -baseline runs an offline ECO: the baseline circuit is mapped first
-// (capturing a cut snapshot), then the subject graph is delta-remapped
-// against it — only the edited cone's cuts are re-enumerated (and, for
-// slap, re-classified) while the result stays byte-identical to a cold map.
+// -baseline runs an offline ECO: the baseline circuit is mapped first into
+// a private result cache (capturing a cut snapshot), then the subject graph
+// is delta-remapped against it — only the edited cone's cuts are
+// re-enumerated (and, for slap, re-classified) while the result stays
+// byte-identical to a cold map.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"time"
 
 	"slap/internal/aig"
 	"slap/internal/choice"
 	"slap/internal/core"
-	"slap/internal/cuts"
 	"slap/internal/experiments"
 	"slap/internal/infer"
 	"slap/internal/library"
+	"slap/internal/mapcache"
 	"slap/internal/mapper"
 	"slap/internal/nn"
 )
@@ -61,7 +62,6 @@ func main() {
 		workers     = flag.Int("workers", 0, "cut-enumeration/inference workers (0 = all CPU cores, 1 = sequential)")
 		batch       = flag.Int("batch", 256, "batched-inference flush size for -policy slap (negative = per-sample inference)")
 		batchWait   = flag.Duration("batch-wait", time.Millisecond, "max wait for an inference batch to fill before flushing")
-		streaming   = flag.Bool("streaming", true, "fused streaming pipeline: match cuts inside the enumeration wavefront and retire their storage level by level (false = two-phase enumerate-then-match)")
 		verify      = flag.Bool("verify", true, "check mapped netlist equivalence against the AIG")
 		listNames   = flag.Bool("list", false, "list built-in circuit names and exit")
 		showCells   = flag.Bool("cells", false, "print the cell-type histogram")
@@ -81,7 +81,7 @@ func main() {
 		circuit: *circuitName, aag: *aagPath, baseline: *baseline, profile: *profileName,
 		policy: *policyName, model: *modelPath, lib: *libPath,
 		seed: *seed, limit: *limit, workers: *workers, batch: *batch, batchWait: *batchWait,
-		streaming: *streaming, verify: *verify, list: *listNames,
+		verify: *verify, list: *listNames,
 		cells: *showCells, verilog: *verilogOut, blif: *blifOut, report: *report,
 		rounds: *rounds, delayFactor: *delayFactor, choices: *choices,
 		choiceWorkers: *choiceWorkers, choiceBudget: *choiceBudget,
@@ -98,7 +98,6 @@ type runConfig struct {
 	seed                                                int64
 	limit, workers, batch                               int
 	batchWait                                           time.Duration
-	streaming                                           bool
 	verify, list, cells, report                         bool
 	verilog, blif                                       string
 	rounds                                              int
@@ -117,91 +116,41 @@ func (cfg runConfig) choiceOptions() choice.Options {
 }
 
 func run(cfg runConfig) error {
-	circuitName, aagPath, policyName := cfg.circuit, cfg.aag, cfg.policy
-	modelPath, libPath := cfg.model, cfg.lib
-	seed, limit := cfg.seed, cfg.limit
-	listNames := cfg.list
 	profile, err := experiments.ByName(cfg.profile)
 	if err != nil {
 		return err
 	}
-	if listNames {
+	if cfg.list {
 		for _, d := range experiments.Designs(profile) {
 			fmt.Println(d.Name)
 		}
 		return nil
 	}
 
-	lib, err := loadLibrary(libPath)
+	lib, err := loadLibrary(cfg.lib)
 	if err != nil {
 		return err
 	}
-	g, err := loadCircuit(circuitName, aagPath, profile, cfg.stdin)
+	g, err := loadCircuit(cfg.circuit, cfg.aag, profile, cfg.stdin)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("circuit: %s\n", g.Stats())
 
-	// The fused streaming pipeline and the two-phase flow produce
-	// byte-identical results; streaming only changes peak memory, so it is
-	// safe as the default.
-	mapASIC := mapper.Map
-	if cfg.streaming {
-		mapASIC = mapper.MapStream
+	req := core.Request{
+		Policy: cfg.policy, Limit: cfg.limit, Seed: cfg.seed, Library: lib, Workers: cfg.workers,
+		Rounds: cfg.rounds, DelayFactor: cfg.delayFactor,
+		Choices: cfg.choices, ChoiceOpts: cfg.choiceOptions(), Verify: cfg.verify,
 	}
-
-	var res *mapper.Result
-	if cfg.baseline != "" {
-		if cfg.rounds > 1 || cfg.choices {
-			return fmt.Errorf("-baseline delta-remaps against a single-round snapshot; it is incompatible with -rounds > 1 and -choices")
-		}
-		res, err = runECO(cfg, g, lib)
-		if err != nil {
-			return err
-		}
-		return printResult(cfg, g, res)
-	}
-	// -choices maps a combined choice view instead of the subject graph; the
-	// view shares the subject's PIs/POs, so verification below still runs
-	// against the original circuit.
-	mg := g
-	var chSrc cuts.ChoiceSource
-	if cfg.choices {
-		v := choice.Build(g, cfg.choiceOptions())
-		mg, chSrc = v.G, v
-	}
-	opt := mapper.Options{
-		Library: lib, Workers: cfg.workers,
-		Rounds: cfg.rounds, DelayFactor: cfg.delayFactor, Choices: chSrc,
-	}
-	switch policyName {
-	case "default":
-		opt.Policy = cuts.DefaultPolicy{Limit: limit}
-		res, err = mapASIC(mg, opt)
-	case "unlimited":
-		opt.Policy = cuts.UnlimitedPolicy{}
-		res, err = mapASIC(mg, opt)
-	case "shuffle":
-		opt.Policy = &cuts.ShufflePolicy{
-			Rng:   rand.New(rand.NewSource(seed)),
-			Limit: limit,
-		}
-		res, err = mapASIC(mg, opt)
-	case "slap":
-		if modelPath == "" {
+	if cfg.policy == "slap" {
+		if cfg.model == "" {
 			return fmt.Errorf("-policy slap requires -model (train one with slap-train)")
 		}
-		var model *nn.Model
-		model, err = nn.LoadFile(modelPath)
+		model, err := nn.LoadFile(cfg.model)
 		if err != nil {
 			return err
 		}
-		s := core.New(model, lib)
-		s.Workers = cfg.workers
-		s.Rounds = cfg.rounds
-		s.DelayFactor = cfg.delayFactor
-		s.Choices = cfg.choices
-		s.ChoiceOpts = cfg.choiceOptions()
+		req.SLAP = core.New(model, lib)
 		if cfg.batch >= 0 {
 			// All mapping workers funnel through one coalescer, so a node's
 			// cuts merge with other nodes' into shared GEMM passes. The
@@ -212,24 +161,27 @@ func run(cfg runConfig) error {
 				MaxWait:  cfg.batchWait,
 			})
 			defer co.Close()
-			s.Batch = co
+			req.SLAP.Batch = co
 		}
-		if cfg.streaming {
-			res, err = s.MapStream(g)
-		} else {
-			res, err = s.Map(g)
-		}
-	default:
-		return fmt.Errorf("unknown policy %q", policyName)
+	}
+
+	var out *core.Outcome
+	if cfg.baseline != "" {
+		out, err = runECO(cfg, g, req)
+	} else {
+		out, err = core.Run(context.Background(), g, req)
+	}
+	if errors.Is(err, core.ErrNotEquivalent) {
+		return fmt.Errorf("EQUIVALENCE FAILED: %w", err)
 	}
 	if err != nil {
 		return err
 	}
-	return printResult(cfg, g, res)
+	return printResult(cfg, out.ASIC)
 }
 
 // printResult renders the QoR block shared by the cold-map and ECO flows.
-func printResult(cfg runConfig, g *aig.AIG, res *mapper.Result) error {
+func printResult(cfg runConfig, res *mapper.Result) error {
 	fmt.Printf("policy:  %s\n", res.PolicyName)
 	fmt.Printf("area:    %.2f µm²\n", res.Area)
 	fmt.Printf("delay:   %.2f ps\n", res.Delay)
@@ -246,9 +198,7 @@ func printResult(cfg runConfig, g *aig.AIG, res *mapper.Result) error {
 		}
 	}
 	if cfg.verify {
-		if err := res.Netlist.EquivalentTo(g, 8, rand.New(rand.NewSource(99))); err != nil {
-			return fmt.Errorf("EQUIVALENCE FAILED: %w", err)
-		}
+		// core.Run checked the result before returning it.
 		fmt.Println("verify:  netlist equivalent to subject graph (512 random patterns)")
 	}
 	if cfg.report {
@@ -269,11 +219,18 @@ func printResult(cfg runConfig, g *aig.AIG, res *mapper.Result) error {
 	return nil
 }
 
-// runECO is the -baseline flow: map the baseline circuit with snapshot
-// capture, then delta-remap the subject graph against it. Only the dirty
-// cone re-runs enumeration policy (and, for slap, CNN classification); the
+// runECO is the -baseline flow: map the baseline circuit into a private
+// result cache, then map the subject graph through the same cache, which
+// delta-remaps it against the baseline's snapshot. Only the dirty cone
+// re-runs enumeration policy (and, for slap, CNN classification); the
 // returned result is byte-identical to a cold map of the subject.
-func runECO(cfg runConfig, g *aig.AIG, lib *library.Library) (*mapper.Result, error) {
+func runECO(cfg runConfig, g *aig.AIG, req core.Request) (*core.Outcome, error) {
+	if cfg.rounds > 1 || cfg.choices {
+		return nil, fmt.Errorf("-baseline delta-remaps against a single-round snapshot; it is incompatible with -rounds > 1 and -choices")
+	}
+	if cfg.policy == "shuffle" {
+		return nil, fmt.Errorf("policy %q is not ECO-eligible (want default, unlimited or slap)", cfg.policy)
+	}
 	bf, err := os.Open(cfg.baseline)
 	if err != nil {
 		return nil, err
@@ -285,79 +242,34 @@ func runECO(cfg runConfig, g *aig.AIG, lib *library.Library) (*mapper.Result, er
 	}
 	fmt.Printf("baseline: %s\n", base.Stats())
 
-	switch cfg.policy {
-	case "default", "unlimited":
-		var p cuts.Policy = cuts.DefaultPolicy{Limit: cfg.limit}
-		if cfg.policy == "unlimited" {
-			p = cuts.UnlimitedPolicy{}
-		}
-		opt := mapper.Options{Library: lib, Policy: p, Workers: cfg.workers}
-		snap := mapper.NewSnapshot(base, opt)
-		capOpt := opt
-		capOpt.CaptureCuts = snap.Capture
-		mapASIC := mapper.Map
-		if cfg.streaming {
-			mapASIC = mapper.MapStream
-		}
-		t0 := time.Now()
-		if _, err := mapASIC(base, capOpt); err != nil {
-			return nil, fmt.Errorf("mapping baseline: %w", err)
-		}
-		baseD := time.Since(t0)
-		t1 := time.Now()
-		res, st, err := mapper.MapDelta(g, opt, snap)
-		if err != nil {
-			return nil, fmt.Errorf("delta remap: %w", err)
-		}
-		printDelta(st, baseD, time.Since(t1))
-		return res, nil
-	case "slap":
-		if cfg.model == "" {
-			return nil, fmt.Errorf("-policy slap requires -model (train one with slap-train)")
-		}
-		model, err := nn.LoadFile(cfg.model)
-		if err != nil {
-			return nil, err
-		}
-		s := core.New(model, lib)
-		s.Workers = cfg.workers
-		if cfg.batch >= 0 {
-			co := infer.NewCoalescer(infer.NewEngine(model, infer.Options{}), infer.CoalescerOptions{
-				MaxBatch: cfg.batch,
-				MaxWait:  cfg.batchWait,
-			})
-			defer co.Close()
-			s.Batch = co
-		}
-		ctx := context.Background()
-		capture := s.MapCaptureContext
-		if cfg.streaming {
-			capture = s.MapStreamCaptureContext
-		}
-		t0 := time.Now()
-		_, snap, err := capture(ctx, base)
-		if err != nil {
-			return nil, fmt.Errorf("mapping baseline: %w", err)
-		}
-		baseD := time.Since(t0)
-		t1 := time.Now()
-		res, _, st, err := s.MapDeltaContext(ctx, g, snap)
-		if err != nil {
-			return nil, fmt.Errorf("delta remap: %w", err)
-		}
-		printDelta(st, baseD, time.Since(t1))
-		return res, nil
-	default:
-		return nil, fmt.Errorf("policy %q is not ECO-eligible (want default, unlimited or slap)", cfg.policy)
+	ctx := context.Background()
+	req.Cache = mapcache.New(0)
+	baseReq := req
+	baseReq.Verify = false
+	t0 := time.Now()
+	if _, err := core.Run(ctx, base, baseReq); err != nil {
+		return nil, fmt.Errorf("mapping baseline: %w", err)
 	}
-}
-
-// printDelta summarises how much of the baseline's work the delta reused.
-func printDelta(st *mapper.DeltaStats, baseD, deltaD time.Duration) {
-	fmt.Printf("eco:     baseline mapped in %s, delta remap in %s\n",
-		baseD.Round(time.Millisecond), deltaD.Round(time.Millisecond))
-	fmt.Printf("         dirty %d/%d ANDs (%.1f%%), %d cuts reused\n",
-		st.DirtyAnds, st.TotalAnds, 100*st.DirtyFraction, st.ReusedCuts)
+	baseD := time.Since(t0)
+	req.ECO = true
+	t1 := time.Now()
+	out, err := core.Run(ctx, g, req)
+	if err != nil {
+		return nil, err
+	}
+	deltaD := time.Since(t1).Round(time.Millisecond)
+	baseD = baseD.Round(time.Millisecond)
+	switch {
+	case out.ECO != nil:
+		fmt.Printf("eco:     baseline mapped in %s, delta remap in %s\n", baseD, deltaD)
+		fmt.Printf("         dirty %d/%d ANDs (%.1f%%), %d cuts reused\n",
+			out.ECO.DirtyAnds, out.ECO.TotalAnds, 100*out.ECO.DirtyFraction, out.ECO.ReusedCuts)
+	case out.Hit:
+		fmt.Printf("eco:     baseline mapped in %s; the subject is identical, answered from the cache in %s\n", baseD, deltaD)
+	default:
+		fmt.Printf("eco:     baseline mapped in %s; no usable relative (under half the cones shared, or a changed depth), subject mapped cold in %s\n", baseD, deltaD)
+	}
+	return out, nil
 }
 
 func writeNetlistFile(path string, write func(io.Writer) error) error {

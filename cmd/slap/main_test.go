@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,11 +25,11 @@ func TestRunShuffleAndCells(t *testing.T) {
 	}
 }
 
-// TestRunStreaming drives the default fused-pipeline path (the -streaming
-// flag is on unless disabled) with equivalence checking for every policy.
+// TestRunStreaming drives the fused streaming pipeline, the only one core.Run
+// has, with equivalence checking for every vanilla policy.
 func TestRunStreaming(t *testing.T) {
 	for _, policy := range []string{"default", "shuffle", "unlimited"} {
-		if err := run(runConfig{circuit: "rc64b", profile: "fast", policy: policy, seed: 3, streaming: true, verify: true}); err != nil {
+		if err := run(runConfig{circuit: "rc64b", profile: "fast", policy: policy, seed: 3, verify: true}); err != nil {
 			t.Fatalf("%s: %v", policy, err)
 		}
 	}
@@ -92,6 +93,16 @@ func TestRunSLAPPolicy(t *testing.T) {
 	}
 	if err := run(runConfig{circuit: "rc64b", profile: "fast", policy: "slap", model: modelPath, seed: 1, verify: true}); err != nil {
 		t.Fatal(err)
+	}
+
+	// -baseline delta-remaps the ML flow too, to the cold map's QoR.
+	g := circuits.BoothMultiplier(6)
+	edited := writeAAG(t, dir, "edited.aag", circuits.PerturbSpan(g, 7, 0.9, 1.0, 0.3))
+	cfg := runConfig{aag: edited, profile: "fast", policy: "slap", model: modelPath, verify: true}
+	cold := runOutput(t, cfg)
+	cfg.baseline = writeAAG(t, dir, "base.aag", g)
+	if eco := runOutput(t, cfg); !strings.Contains(eco, "cuts reused") || qorLines(eco) != qorLines(cold) {
+		t.Fatalf("slap -baseline:\n%s\ncold:\n%s", eco, cold)
 	}
 }
 
@@ -161,5 +172,86 @@ func TestRunWritesNetlistFiles(t *testing.T) {
 	bd, err := os.ReadFile(b)
 	if err != nil || !strings.Contains(string(bd), ".model") {
 		t.Fatalf("blif output missing: %v", err)
+	}
+}
+
+// writeAAG stores g as an ASCII AIGER file under dir.
+func writeAAG(t *testing.T, dir, name string, g interface{ WriteAAG(io.Writer) error }) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.WriteAAG(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// runOutput runs cfg and returns what it printed.
+func runOutput(t *testing.T, cfg runConfig) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	err = run(cfg)
+	w.Close()
+	os.Stdout = stdout
+	out := <-done
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	return string(out)
+}
+
+// qorLines keeps the lines a cold map and a delta remap must share.
+func qorLines(out string) string {
+	var keep []string
+	for _, l := range strings.Split(out, "\n") {
+		for _, p := range []string{"policy:", "area:", "delay:", "ADP:", "cells:", "verify:"} {
+			if strings.HasPrefix(l, p) {
+				keep = append(keep, l)
+			}
+		}
+	}
+	return strings.Join(keep, "\n")
+}
+
+// TestRunBaseline drives -baseline: a localised edit delta-remaps against
+// the baseline and prints its dirty/reused lines with the cold map's QoR,
+// and an unrelated baseline falls back to a cold map that says so.
+func TestRunBaseline(t *testing.T) {
+	dir := t.TempDir()
+	g := circuits.BoothMultiplier(6)
+	base := writeAAG(t, dir, "base.aag", g)
+	edited := writeAAG(t, dir, "edited.aag", circuits.PerturbSpan(g, 7, 0.9, 1.0, 0.3))
+	other := writeAAG(t, dir, "other.aag", circuits.RippleCarryAdder(12))
+	for _, policy := range []string{"default", "unlimited"} {
+		cfg := runConfig{aag: edited, profile: "fast", policy: policy, verify: true}
+		cold := runOutput(t, cfg)
+		cfg.baseline = base
+		eco := runOutput(t, cfg)
+		if !strings.Contains(eco, "delta remap in") || !strings.Contains(eco, "cuts reused") {
+			t.Fatalf("%s: -baseline printed no delta lines:\n%s", policy, eco)
+		}
+		if qorLines(eco) != qorLines(cold) {
+			t.Fatalf("%s: delta remap QoR differs from the cold map:\n%s\nvs\n%s", policy, eco, cold)
+		}
+		cfg.baseline = other
+		if out := runOutput(t, cfg); !strings.Contains(out, "mapped cold") || qorLines(out) != qorLines(cold) {
+			t.Fatalf("%s: unrelated baseline:\n%s", policy, out)
+		}
+	}
+	if err := run(runConfig{aag: edited, baseline: base, profile: "fast", policy: "shuffle"}); err == nil {
+		t.Fatal("-baseline accepted the shuffle policy")
 	}
 }

@@ -7,15 +7,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
-	"math/rand"
 	"strings"
 
 	"slap/internal/circuits"
-	"slap/internal/cuts"
+	"slap/internal/core"
 	"slap/internal/library"
-	"slap/internal/mapper"
 )
 
 // A deliberately tiny NAND/NOR/INV-only library, as found in very
@@ -43,13 +42,11 @@ func main() {
 	fmt.Printf("\n%-14s %6s %10s %10s %8s\n", "library", "gates", "area µm²", "delay ps", "cells")
 
 	for _, lib := range []*library.Library{custom, builtin} {
-		res, err := mapper.Map(g, mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}})
+		out, err := core.Run(context.Background(), g, core.Request{Library: lib, Verify: true})
 		if err != nil {
-			log.Fatal(err)
-		}
-		if err := res.Netlist.EquivalentTo(g, 8, rand.New(rand.NewSource(1))); err != nil {
 			log.Fatalf("%s: %v", lib.Name, err)
 		}
+		res := out.ASIC
 		fmt.Printf("%-14s %6d %10.1f %10.1f %8d\n",
 			lib.Name, len(lib.Gates), res.Area, res.Delay, res.Netlist.NumCells())
 	}

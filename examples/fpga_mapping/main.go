@@ -8,15 +8,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
-	"math/rand"
 
 	"slap/internal/circuits"
 	"slap/internal/core"
-	"slap/internal/cuts"
 	"slap/internal/library"
-	"slap/internal/lutmap"
 )
 
 func main() {
@@ -37,25 +35,13 @@ func main() {
 	}
 	fmt.Printf("model: binary keep/drop accuracy %.1f%%\n\n", 100*report.BinaryAccuracy)
 
-	def, err := lutmap.Map(g, lutmap.Options{Policy: cuts.DefaultPolicy{}})
-	if err != nil {
-		log.Fatal(err)
-	}
-	unl, err := lutmap.Map(g, lutmap.Options{Policy: cuts.UnlimitedPolicy{}})
-	if err != nil {
-		log.Fatal(err)
-	}
-	ml, err := slap.MapLUT(g)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	rng := rand.New(rand.NewSource(9))
 	fmt.Printf("%-14s %8s %8s %10s\n", "flow", "LUTs", "depth", "cuts")
-	for _, r := range []*lutmap.Result{def, unl, ml} {
-		if err := r.EquivalentTo(g, 8, rng); err != nil {
-			log.Fatalf("%s: %v", r.PolicyName, err)
+	for _, policy := range []string{"default", "unlimited", "slap"} {
+		out, err := core.Run(context.Background(), g, core.Request{Target: "lut", Policy: policy, SLAP: slap, Verify: true})
+		if err != nil {
+			log.Fatalf("%s: %v", policy, err)
 		}
+		r := out.LUT
 		fmt.Printf("%-14s %8d %8d %10d\n", r.PolicyName, r.NumLUTs(), r.Depth, r.CutsConsidered)
 	}
 	fmt.Println("\nAll three LUT networks verified equivalent to the subject graph.")

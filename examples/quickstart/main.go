@@ -5,15 +5,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
-	"math/rand"
 
 	"slap/internal/circuits"
 	"slap/internal/core"
-	"slap/internal/cuts"
 	"slap/internal/library"
-	"slap/internal/mapper"
 )
 
 func main() {
@@ -25,22 +23,8 @@ func main() {
 	// 2. The target standard-cell library (synthetic, ASAP7-flavoured).
 	lib := library.ASAP7ish()
 
-	// 3. Map with the vanilla ABC heuristic: sort cuts by leaf count,
-	//    filter dominated cuts, keep 250 per node.
-	abc, err := mapper.Map(g, mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// 4. Map with exhaustive cut exploration ("Unlimited ABC").
-	unl, err := mapper.Map(g, mapper.Options{Library: lib, Policy: cuts.UnlimitedPolicy{}})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// 5. Train a small SLAP model on random mappings of two 16-bit adders
-	//    (the paper's training setup, scaled down to run in seconds), then
-	//    map with ML-filtered cuts.
+	// 3. Train a small SLAP model on random mappings of two 16-bit adders
+	//    (the paper's training setup, scaled down to run in seconds).
 	slap, report, err := core.Train(core.TrainOptions{
 		Library:        lib,
 		MapsPerCircuit: 120,
@@ -54,20 +38,17 @@ func main() {
 	fmt.Printf("model: binary keep/drop accuracy %.1f%% on %d held-out cuts\n",
 		100*report.BinaryAccuracy, report.ValSamples)
 
-	ml, err := slap.Map(g)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// 6. Every mapped netlist is verified against the subject graph.
-	for _, r := range []*mapper.Result{abc, unl, ml} {
-		if err := r.Netlist.EquivalentTo(g, 8, rand.New(rand.NewSource(42))); err != nil {
-			log.Fatalf("%s: %v", r.PolicyName, err)
-		}
-	}
-
+	// 4. Map three ways through core.Run: the vanilla ABC heuristic (sort
+	//    cuts by leaf count, filter dominated cuts, keep 250 per node),
+	//    exhaustive cut exploration ("Unlimited ABC") and ML-filtered cuts.
+	//    Verify checks every mapped netlist against the subject graph.
 	fmt.Printf("\n%-14s %10s %10s %12s %9s\n", "flow", "area µm²", "delay ps", "ADP", "cuts")
-	for _, r := range []*mapper.Result{abc, unl, ml} {
+	for _, policy := range []string{"default", "unlimited", "slap"} {
+		out, err := core.Run(context.Background(), g, core.Request{Policy: policy, Library: lib, SLAP: slap, Verify: true})
+		if err != nil {
+			log.Fatalf("%s: %v", policy, err)
+		}
+		r := out.ASIC
 		fmt.Printf("%-14s %10.1f %10.1f %12.0f %9d\n",
 			r.PolicyName, r.Area, r.Delay, r.ADP(), r.CutsConsidered)
 	}

@@ -1,7 +1,6 @@
 package choice
 
 import (
-	"container/list"
 	"context"
 	"sync"
 
@@ -49,21 +48,12 @@ type Cache struct {
 	// without any cache lock held.
 	OnBuild func(*View)
 
-	mu     sync.Mutex
-	budget int64
-	bytes  int64
-	ll     *list.List // front = most recently used; values are *cacheEntry
-	byKey  map[mapcache.Key]*list.Element
+	mu  sync.Mutex
+	lru *mapcache.LRU[*View]
 
-	hits, misses, evictions int64
+	hits, misses int64
 
 	flight *mapcache.Flight[*View]
-}
-
-type cacheEntry struct {
-	key   mapcache.Key
-	view  *View
-	bytes int64
 }
 
 // NewCache builds a view cache with the given byte budget (<= 0 means
@@ -72,12 +62,7 @@ func NewCache(budget int64) *Cache {
 	if budget <= 0 {
 		budget = DefaultCacheBudget
 	}
-	return &Cache{
-		budget: budget,
-		ll:     list.New(),
-		byKey:  make(map[mapcache.Key]*list.Element),
-		flight: mapcache.NewFlight[*View](),
-	}
+	return &Cache{lru: mapcache.NewLRU[*View](budget, nil), flight: mapcache.NewFlight[*View]()}
 }
 
 // CacheKey returns the content address a (base, options) pair is cached
@@ -132,40 +117,19 @@ func (c *Cache) Checkout(ctx context.Context, base *aig.AIG, o Options) (*View, 
 func (c *Cache) lookup(k mapcache.Key) (*View, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[k]; ok {
-		c.ll.MoveToFront(el)
+	v, ok := c.lru.Get(k)
+	if ok {
 		c.hits++
-		return el.Value.(*cacheEntry).view, true
 	}
-	return nil, false
+	return v, ok
 }
 
 // add stores a built view, evicting least-recently-used views until the
 // byte budget holds. A view larger than the whole budget is not cached.
 func (c *Cache) add(k mapcache.Key, v *View) {
-	sz := v.SizeBytes()
-	if sz > c.budget {
-		return
-	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[k]; ok {
-		old := el.Value.(*cacheEntry)
-		c.bytes -= old.bytes
-		c.ll.Remove(el)
-		delete(c.byKey, k)
-	}
-	e := &cacheEntry{key: k, view: v, bytes: sz}
-	c.byKey[k] = c.ll.PushFront(e)
-	c.bytes += sz
-	for c.bytes > c.budget && c.ll.Len() > 1 {
-		el := c.ll.Back()
-		old := el.Value.(*cacheEntry)
-		c.ll.Remove(el)
-		delete(c.byKey, old.key)
-		c.bytes -= old.bytes
-		c.evictions++
-	}
+	c.lru.Add(k, v, v.SizeBytes())
+	c.mu.Unlock()
 }
 
 // Stats returns current counters.
@@ -175,8 +139,8 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{
 		Hits:      c.hits,
 		Misses:    c.misses,
-		Evictions: c.evictions,
-		Bytes:     c.bytes,
-		Views:     c.ll.Len(),
+		Evictions: c.lru.Evictions(),
+		Bytes:     c.lru.Bytes(),
+		Views:     c.lru.Len(),
 	}
 }

@@ -19,17 +19,19 @@ func untrained(seed int64) *SLAP {
 	return New(m, library.ASAP7ish())
 }
 
+// TestMapContextCancellation checks that a cancelled context stops Run for
+// both targets, and the two-phase front ends too.
 func TestMapContextCancellation(t *testing.T) {
 	s := untrained(5)
 	g := circuits.TrainRC16()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.MapContext(ctx, g); !errors.Is(err, context.Canceled) {
-		t.Errorf("MapContext(cancelled) err = %v, want context.Canceled", err)
+	if _, err := Run(ctx, g, s.request("asic")); !errors.Is(err, context.Canceled) {
+		t.Errorf("Run(cancelled, asic) err = %v, want context.Canceled", err)
 	}
-	if _, err := s.MapLUTContext(ctx, g); !errors.Is(err, context.Canceled) {
-		t.Errorf("MapLUTContext(cancelled) err = %v, want context.Canceled", err)
+	if _, err := Run(ctx, g, s.request("lut")); !errors.Is(err, context.Canceled) {
+		t.Errorf("Run(cancelled, lut) err = %v, want context.Canceled", err)
 	}
 	if _, err := s.FilterCutsContext(ctx, g); !errors.Is(err, context.Canceled) {
 		t.Errorf("FilterCutsContext(cancelled) err = %v, want context.Canceled", err)
@@ -39,19 +41,18 @@ func TestMapContextCancellation(t *testing.T) {
 	}
 }
 
+// TestMapContextBackgroundMatchesMap checks that Run under a background
+// context gives the two-phase oracle's QoR.
 func TestMapContextBackgroundMatchesMap(t *testing.T) {
 	s := untrained(5)
 	g := circuits.TrainRC16()
-	plain, err := s.Map(g)
+	plain := oracleSLAP(t, s, g)
+	out, err := Run(context.Background(), g, s.request("asic"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCtx, err := s.MapContext(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Area != viaCtx.Area || plain.Delay != viaCtx.Delay {
-		t.Errorf("Map area=%v delay=%v, MapContext area=%v delay=%v",
+	if viaCtx := out.ASIC; plain.Area != viaCtx.Area || plain.Delay != viaCtx.Delay {
+		t.Errorf("oracle area=%v delay=%v, Run area=%v delay=%v",
 			plain.Area, plain.Delay, viaCtx.Area, viaCtx.Delay)
 	}
 }

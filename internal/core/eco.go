@@ -98,9 +98,8 @@ type SlapSnapshot struct {
 }
 
 // NewSnapshot records the structural and external-feature baseline of g
-// for this SLAP configuration. Cut lists are filled in by the capture
-// flows (MapCaptureContext / MapStreamCaptureContext) or by MapDeltaContext
-// itself when it chains snapshots.
+// for this SLAP configuration. Cut lists are filled in by Run's capturing
+// cold map or by MapDeltaContext itself when it chains snapshots.
 func (s *SLAP) NewSnapshot(g *aig.AIG) *SlapSnapshot {
 	n := g.NumNodes()
 	snap := &SlapSnapshot{
@@ -160,77 +159,13 @@ func (sn *SlapSnapshot) NodeHashes() []uint64 { return sn.hashes }
 // accounting.
 func (sn *SlapSnapshot) SnapshotBytes() int64 { return sn.bytes }
 
-// MapCaptureContext runs the full two-phase SLAP flow and additionally
-// records the snapshot that later MapDeltaContext calls remap against.
-// The Result is identical to MapContext's for the single-round, no-choice
-// configuration — the only one capture supports (see
-// MapStreamCaptureContext).
-func (s *SLAP) MapCaptureContext(ctx context.Context, g *aig.AIG) (*mapper.Result, *SlapSnapshot, error) {
-	filtered, err := s.FilterCutsContext(ctx, g)
-	if err != nil {
-		return nil, nil, err
-	}
-	snap := s.NewSnapshot(g)
-	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
-		if g.IsAnd(n) {
-			snap.capture(n, filtered.Sets[n])
-		}
-	}
-	res, err := mapper.Map(g, mapper.Options{Library: s.Library, CutSets: filtered})
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	res.PolicyName = "slap"
-	return res, snap, nil
-}
-
-// MapStreamCaptureContext is MapCaptureContext's fused streaming
-// equivalent: the snapshot captures each level's filtered lists just
-// before the incremental mapper consumes them (and before the enumerator
-// retires the level's storage). Like MapCaptureContext, it always runs the
-// single-round, no-choice flow: snapshots exist to feed the ECO delta
-// path, which is defined for that configuration only (MapCached gates
-// capture accordingly).
-func (s *SLAP) MapStreamCaptureContext(ctx context.Context, g *aig.AIG) (*mapper.Result, *SlapSnapshot, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	st, err := mapper.NewStream(g, mapper.Options{Library: s.Library})
-	if err != nil {
-		return nil, nil, err
-	}
-	snap := s.NewSnapshot(g)
-	res, err := s.streamFiltered(ctx, g, nil, func(n uint32, cs, _ []cuts.Cut) {
-		if g.IsAnd(n) {
-			snap.capture(n, cs)
-		}
-		st.ConsumeNode(n, cs)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	st.SetPeakCuts(res.PeakCuts)
-	r, err := st.Finish()
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	r.PolicyName = "slap"
-	return r, snap, nil
-}
-
 // MapDeltaContext maps g by reusing the snapshot of a structurally similar
 // baseline mapped under the same SLAP configuration: slap-clean nodes take
 // their ML-filtered cut lists from the snapshot through the monotone id
 // alignment (skipping all inference), dirty nodes are re-classified, and
 // the combined lists feed the unchanged mapper. It returns the result, a
 // fresh snapshot of g (so ECO chains keep delta-remapping), and the dirty
-// statistics. The Result is byte-identical to MapContext(g).
+// statistics. The Result is byte-identical to a cold map of g.
 func (s *SLAP) MapDeltaContext(ctx context.Context, g *aig.AIG, snap *SlapSnapshot) (*mapper.Result, *SlapSnapshot, *mapper.DeltaStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"testing"
 
+	"slap/internal/aig"
 	"slap/internal/circuits"
 	"slap/internal/mapcache"
 	"slap/internal/mapper"
@@ -38,10 +39,28 @@ func requireSameSlapResult(t *testing.T, name string, full, delta *mapper.Result
 	}
 }
 
+// captureStream maps g cold through Run with a fresh result cache and
+// returns the result with the ECO snapshot the streaming pipeline captured.
+func captureStream(t *testing.T, s *SLAP, g *aig.AIG) (*mapper.Result, *SlapSnapshot) {
+	t.Helper()
+	req := s.request("asic")
+	req.Cache = mapcache.New(0)
+	out, err := Run(context.Background(), g, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := req.Cache.Get(out.Key)
+	if !ok {
+		t.Fatal("cold map not cached")
+	}
+	return out.ASIC, e.Snap.(*SlapSnapshot)
+}
+
 // TestSlapMapDeltaByteIdentical pins the SLAP-level ECO: delta-remapping an
 // edited design against a captured baseline reproduces the full flow's
 // result byte-for-byte while re-running inference on the dirty cone only,
-// for both capture flows and across worker counts.
+// for snapshots captured by the two-phase oracle and by Run's streaming
+// pipeline, across worker counts.
 func TestSlapMapDeltaByteIdentical(t *testing.T) {
 	base := circuits.BoothMultiplier(6)
 	edited := circuits.Perturb(base, 7, 0.03)
@@ -61,24 +80,17 @@ func TestSlapMapDeltaByteIdentical(t *testing.T) {
 				s.Workers = workers
 
 				var snap *SlapSnapshot
-				var err error
 				if streaming {
-					_, snap, err = s.MapStreamCaptureContext(ctx, base)
+					_, snap = captureStream(t, s, base)
 				} else {
-					_, snap, err = s.MapCaptureContext(ctx, base)
-				}
-				if err != nil {
-					t.Fatal(err)
+					_, snap = oracleCapture(t, s, base)
 				}
 				if snap.SnapshotBytes() <= 0 || len(snap.NodeHashes()) != base.NumNodes() {
 					t.Fatalf("snapshot malformed: %d bytes, %d hashes",
 						snap.SnapshotBytes(), len(snap.NodeHashes()))
 				}
 
-				full, err := s.MapContext(ctx, edited)
-				if err != nil {
-					t.Fatal(err)
-				}
+				full := oracleSLAP(t, s, edited)
 				delta, next, st, err := s.MapDeltaContext(ctx, edited, snap)
 				if err != nil {
 					t.Fatal(err)
@@ -95,10 +107,7 @@ func TestSlapMapDeltaByteIdentical(t *testing.T) {
 				// The chained snapshot works too: a second edit delta-remaps
 				// against the first delta's own capture.
 				edited2 := circuits.Perturb(edited, 8, 0.03)
-				full2, err := s.MapContext(ctx, edited2)
-				if err != nil {
-					t.Fatal(err)
-				}
+				full2 := oracleSLAP(t, s, edited2)
 				delta2, _, st2, err := s.MapDeltaContext(ctx, edited2, next)
 				if err != nil {
 					t.Fatal(err)
@@ -118,10 +127,7 @@ func TestSlapMapDeltaIdenticalGraph(t *testing.T) {
 	g := circuits.TrainRC16()
 	s := untrained(5)
 	ctx := context.Background()
-	full, snap, err := s.MapCaptureContext(ctx, g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full, snap := oracleCapture(t, s, g)
 	delta, _, st, err := s.MapDeltaContext(ctx, g, snap)
 	if err != nil {
 		t.Fatal(err)
@@ -138,10 +144,7 @@ func TestSlapMapDeltaMismatch(t *testing.T) {
 	g := circuits.TrainRC16()
 	s := untrained(5)
 	ctx := context.Background()
-	_, snap, err := s.MapCaptureContext(ctx, g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, snap := captureStream(t, s, g)
 	if _, _, _, err := s.MapDeltaContext(ctx, g, nil); !errors.Is(err, ErrSlapDeltaIneligible) {
 		t.Fatalf("nil snapshot: err = %v", err)
 	}
@@ -158,48 +161,49 @@ func TestSlapMapDeltaMismatch(t *testing.T) {
 	}
 }
 
-// TestMapCachedFlow drives the serving entry point end to end: cold miss,
-// exact O(1) repeat, and an ECO-served edit, with the verify hook running
-// exactly once per fresh mapping.
+// TestMapCachedFlow drives Run's cached path end to end: cold miss, exact
+// O(1) repeat, and an ECO-served edit, with the verify bit stored on every
+// fresh entry so repeats never re-check.
 func TestMapCachedFlow(t *testing.T) {
 	s := untrained(3)
 	cache := mapcache.New(0)
 	ctx := context.Background()
 	g := circuits.BoothMultiplier(6)
-	verifies := 0
-	opt := CachedOptions{ECO: true, Verify: func(*mapper.Result) bool { verifies++; return true }}
+	req := s.request("asic")
+	req.Cache, req.ECO, req.Verify = cache, true, true
+	entryVerified := func(k mapcache.Key) bool {
+		e, ok := cache.Get(k)
+		return ok && e.Verified
+	}
 
-	cold, out, err := s.MapCached(ctx, g, cache, opt)
+	out, err := Run(ctx, g, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Hit || out.ECO || !out.Verified || verifies != 1 {
-		t.Fatalf("cold map outcome %+v, verifies %d", out, verifies)
+	cold := out.ASIC
+	if out.Hit || out.ECO != nil || !out.Verified || !entryVerified(out.Key) {
+		t.Fatalf("cold map outcome %+v", out)
 	}
 
-	repeat, out, err := s.MapCached(ctx, g, cache, opt)
-	if err != nil {
+	if out, err = Run(ctx, g, req); err != nil {
 		t.Fatal(err)
 	}
-	if !out.Hit || out.ECO || repeat != cold || verifies != 1 {
-		t.Fatalf("repeat outcome %+v (same result %v), verifies %d", out, repeat == cold, verifies)
+	if !out.Hit || out.ECO != nil || out.ASIC != cold || !out.Verified {
+		t.Fatalf("repeat outcome %+v (same result %v)", out, out.ASIC == cold)
 	}
 
 	// A localised edit near the POs (the shape real ECOs take) keeps the
 	// cone overlap above the Nearest gate.
 	edited := circuits.PerturbSpan(g, 7, 0.9, 1.0, 0.3)
-	full, err := s.MapContext(ctx, edited)
-	if err != nil {
+	full := oracleSLAP(t, s, edited)
+	if out, err = Run(ctx, edited, req); err != nil {
 		t.Fatal(err)
 	}
-	eco, out, err := s.MapCached(ctx, edited, cache, opt)
-	if err != nil {
-		t.Fatal(err)
+	if out.ECO == nil || out.Hit || out.ECO.DirtyFraction <= 0 || out.ECO.DirtyFraction >= 1 ||
+		!out.Verified || !entryVerified(out.Key) {
+		t.Fatalf("eco outcome %+v", out)
 	}
-	if !out.ECO || out.Hit || out.DirtyFraction <= 0 || out.DirtyFraction >= 1 || verifies != 2 {
-		t.Fatalf("eco outcome %+v, verifies %d", out, verifies)
-	}
-	requireSameSlapResult(t, "cached-eco", full, eco)
+	requireSameSlapResult(t, "cached-eco", full, out.ASIC)
 
 	st := cache.Stats()
 	if st.Hits < 1 || st.ECOHits != 1 || st.Entries != 2 {
@@ -207,14 +211,14 @@ func TestMapCachedFlow(t *testing.T) {
 	}
 
 	// The ECO result is itself cached: resubmitting the edit is an exact hit.
-	if _, out, err = s.MapCached(ctx, edited, cache, opt); err != nil || !out.Hit {
+	if out, err = Run(ctx, edited, req); err != nil || !out.Hit {
 		t.Fatalf("edited resubmission outcome %+v err %v", out, err)
 	}
 
-	// A nil cache degrades to a plain map.
-	plain, out, err := s.MapCached(ctx, g, nil, opt)
-	if err != nil || out.Hit || out.ECO || !out.Verified {
+	// Without a cache Run maps plainly.
+	req.Cache = nil
+	if out, err = Run(ctx, g, req); err != nil || out.Hit || out.ECO != nil || !out.Verified {
 		t.Fatalf("nil-cache outcome %+v err %v", out, err)
 	}
-	requireSameSlapResult(t, "nil-cache", cold, plain)
+	requireSameSlapResult(t, "nil-cache", cold, out.ASIC)
 }

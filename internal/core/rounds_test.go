@@ -5,43 +5,19 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"slap/internal/circuits"
 	"slap/internal/cuts"
-	"slap/internal/library"
 	"slap/internal/mapcache"
 	"slap/internal/mapper"
 )
 
-// roundsModel shares one trained model across the multi-round tests —
-// training dominates their runtime and every test only needs pipeline
-// correctness, not a fresh model.
-var roundsModel struct {
-	once sync.Once
-	s    *SLAP
-}
-
+// roundsSLAP is the shared scaled-down model of trainSmall.
 func roundsSLAP(t *testing.T) *SLAP {
 	t.Helper()
-	roundsModel.once.Do(func() {
-		s, _, err := Train(TrainOptions{
-			Library:        library.ASAP7ish(),
-			MapsPerCircuit: 60,
-			Epochs:         10,
-			Filters:        16,
-			Seed:           7,
-		})
-		if err != nil {
-			return
-		}
-		roundsModel.s = s
-	})
-	if roundsModel.s == nil {
-		t.Fatal("shared training failed")
-	}
-	return roundsModel.s
+	s, _ := trainSmall(t)
+	return s
 }
 
 // TestMultiRoundQoR pins the multi-round contract on a real circuit: four
@@ -53,7 +29,7 @@ func TestMultiRoundQoR(t *testing.T) {
 	s := roundsSLAP(t)
 	g := circuits.RippleCarryAdder(16)
 
-	single, err := s.Map(g)
+	single, err := s.MapStream(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +41,7 @@ func TestMultiRoundQoR(t *testing.T) {
 		s4 := *s
 		s4.Rounds = 4
 		s4.Choices = choices
-		multi, err := s4.Map(g)
+		multi, err := s4.MapStream(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,14 +78,14 @@ func TestMultiRoundLUTQoR(t *testing.T) {
 	s := roundsSLAP(t)
 	g := circuits.RippleCarryAdder(16)
 
-	single, err := s.MapLUT(g)
+	single, err := s.MapLUTStream(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s4 := *s
 	s4.Rounds = 4
 	s4.Choices = true
-	multi, err := s4.MapLUT(g)
+	multi, err := s4.MapLUTStream(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +118,7 @@ func TestRoundCounterParity(t *testing.T) {
 	s := roundsSLAP(t)
 	g := circuits.CarryLookaheadAdder(8)
 
-	single, err := s.Map(g)
+	single, err := s.MapStream(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,14 +126,12 @@ func TestRoundCounterParity(t *testing.T) {
 	s4.Rounds = 3
 	for _, streaming := range []bool{false, true} {
 		var multi *mapper.Result
-		var err error
 		if streaming {
-			multi, err = s4.MapStream(g)
+			if multi, err = s4.MapStream(g); err != nil {
+				t.Fatal(err)
+			}
 		} else {
-			multi, err = s4.Map(g)
-		}
-		if err != nil {
-			t.Fatal(err)
+			multi = oracleSLAP(t, &s4, g)
 		}
 		r1 := multi.RoundStats[0]
 		if r1.CutsConsidered != single.CutsConsidered {
@@ -179,11 +153,11 @@ func TestRoundCounterParity(t *testing.T) {
 	}
 
 	// LUT side, same contract.
-	lsingle, err := s.MapLUT(g)
+	lsingle, err := s.MapLUTStream(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lmulti, err := s4.MapLUT(g)
+	lmulti, err := s4.MapLUTStream(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +183,9 @@ func TestConfigSigRoundsCacheMiss(t *testing.T) {
 	cache := mapcache.New(64 << 20)
 	ctx := context.Background()
 
-	res1, out1, err := s.MapCached(ctx, g, cache, CachedOptions{})
+	req1 := s.request("asic")
+	req1.Cache = cache
+	out1, err := Run(ctx, g, req1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +197,9 @@ func TestConfigSigRoundsCacheMiss(t *testing.T) {
 	s4.Rounds = 4
 	s4.DelayFactor = 1.1
 	s4.Choices = true
-	res4, out4, err := s4.MapCached(ctx, g, cache, CachedOptions{})
+	req4 := s4.request("asic")
+	req4.Cache = cache
+	out4, err := Run(ctx, g, req4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,8 +209,8 @@ func TestConfigSigRoundsCacheMiss(t *testing.T) {
 	if out4.Key == out1.Key {
 		t.Fatalf("rounds=1 and rounds=4 share a content address: %v", out4.Key)
 	}
-	if len(res4.RoundStats) != 4 || res1.RoundStats != nil {
-		t.Fatalf("QoR fields do not reflect the configs: single=%v multi=%v", res1.RoundStats, res4.RoundStats)
+	if len(out4.ASIC.RoundStats) != 4 || out1.ASIC.RoundStats != nil {
+		t.Fatalf("QoR fields do not reflect the configs: single=%v multi=%v", out1.ASIC.RoundStats, out4.ASIC.RoundStats)
 	}
 	if e, ok := cache.Get(out4.Key); !ok {
 		t.Fatal("multi-round result not cached")
@@ -244,7 +222,7 @@ func TestConfigSigRoundsCacheMiss(t *testing.T) {
 	}
 
 	// Resubmitting the multi-round config is an exact hit.
-	_, again, err := s4.MapCached(ctx, g, cache, CachedOptions{})
+	again, err := Run(ctx, g, req4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +233,8 @@ func TestConfigSigRoundsCacheMiss(t *testing.T) {
 
 // TestMultiRoundDeterminismMatrix pins byte-identity of the 4-round+choices
 // flow across worker counts, the streaming/two-phase split, and arena-pool
-// reuse — the guarantee fleet routing and the result cache depend on.
+// reuse — the guarantee fleet routing and the result cache depend on. The
+// two-phase half of the split is the test oracle.
 func TestMultiRoundDeterminismMatrix(t *testing.T) {
 	s := roundsSLAP(t)
 	g := circuits.CarryLookaheadAdder(8)
@@ -275,14 +254,13 @@ func TestMultiRoundDeterminismMatrix(t *testing.T) {
 					sv.Pool = cuts.NewPool(0)
 				}
 				var res *mapper.Result
-				var err error
 				if streaming {
-					res, err = sv.MapStream(g)
+					var err error
+					if res, err = sv.MapStream(g); err != nil {
+						t.Fatalf("%s: %v", cfg, err)
+					}
 				} else {
-					res, err = sv.Map(g)
-				}
-				if err != nil {
-					t.Fatalf("%s: %v", cfg, err)
+					res = oracleSLAP(t, &sv, g)
 				}
 				var buf bytes.Buffer
 				if err := res.Netlist.WriteVerilog(&buf); err != nil {

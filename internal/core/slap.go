@@ -31,8 +31,6 @@ import (
 	"slap/internal/dataset"
 	"slap/internal/embed"
 	"slap/internal/library"
-	"slap/internal/lutmap"
-	"slap/internal/mapper"
 	"slap/internal/nn"
 )
 
@@ -74,9 +72,8 @@ type SLAP struct {
 	// order, so filtering decisions — and hence mapping QoR — are identical
 	// either way.
 	Batch Batcher
-	// Pool, when set, lets the fused streaming flow (MapStreamContext /
-	// MapLUTStreamContext) recycle cut-arena storage across runs of the
-	// same graph shape. The two-phase flow ignores it.
+	// Pool, when set, lets the mapping recycle cut-arena storage across
+	// runs of the same graph shape.
 	Pool *cuts.Pool
 	// Rounds selects multi-round mapping: round 1 is the delay-optimal
 	// (depth-optimal for LUTs) pass, later rounds re-select covers by area
@@ -375,15 +372,63 @@ func (s *SLAP) filterCutsChoices(ctx context.Context, g *aig.AIG, ch cuts.Choice
 }
 
 // filterSubset runs the ML keep decision over the listed AND nodes,
-// rewriting sets[n] in place: the strided worker loop shared by the full
-// filter pass and the ECO delta path (which hands it dirty nodes only),
-// with first-error-wins cancellation of the siblings — e.g. a batching
-// backend closing mid-map. A non-nil extras receives each node's recovery
-// pool (see filterNode).
+// rewriting sets[n] in place: the per-node pass shared by the full filter
+// and the ECO delta path (which hands it dirty nodes only). A non-nil
+// extras receives each node's recovery pool (see filterNode).
 func (s *SLAP) filterSubset(ctx context.Context, emb *embed.Embedder, nodes []uint32, sets, extras [][]cuts.Cut) error {
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	return s.filterNodes(ctx, emb, nodes, sets, sets, extras, newScratches(s.workers()))
+}
+
+// filterNodes classifies the listed nodes across one worker per scratch,
+// writing each node's kept list to filtered[n] and, when extras is
+// non-nil, its recovery pool to extras[n].
+func (s *SLAP) filterNodes(ctx context.Context, emb *embed.Embedder, nodes []uint32, sets, filtered, extras [][]cuts.Cut, scratches []*inferScratch) error {
+	return strided(ctx, len(scratches), len(nodes), func(ctx context.Context, w, i int) error {
+		n := nodes[i]
+		out, ex, err := s.filterNode(ctx, emb, n, sets[n], scratches[w])
+		if err != nil {
+			return err
+		}
+		filtered[n] = out
+		if extras != nil {
+			extras[n] = ex
+		}
+		return nil
+	})
+}
+
+// workers resolves the Workers knob (0 = GOMAXPROCS).
+func (s *SLAP) workers() int {
+	if s.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return s.Workers
+}
+
+func newScratches(workers int) []*inferScratch {
+	scratches := make([]*inferScratch, workers)
+	for i := range scratches {
+		scratches[i] = &inferScratch{}
+	}
+	return scratches
+}
+
+// strided runs fn over the indices [0, n) on workers goroutines, worker w
+// taking w, w+workers, ...: the loop every per-node pass shares. The first
+// error cancels the siblings' context and is returned; callers write
+// results to per-index slots, so the output does not depend on workers.
+// One worker or one index runs inline, without a goroutine.
+func strided(ctx context.Context, workers, n int, fn func(ctx context.Context, w, i int) error) error {
+	if workers == 1 || n < 2 {
+		for i := 0; i < n; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := fn(ctx, 0, i); err != nil {
+				return err
+			}
+		}
+		return ctx.Err()
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -396,20 +441,13 @@ func (s *SLAP) filterSubset(ctx context.Context, emb *embed.Embedder, nodes []ui
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sc := &inferScratch{}
-			for ni := w; ni < len(nodes); ni += workers {
+			for i := w; i < n; i += workers {
 				if cctx.Err() != nil {
 					return
 				}
-				n := nodes[ni]
-				out, ex, err := s.filterNode(cctx, emb, n, sets[n], sc)
-				if err != nil {
+				if err := fn(cctx, w, i); err != nil {
 					errOnce.Do(func() { firstErr = err; cancel() })
 					return
-				}
-				sets[n] = out
-				if extras != nil {
-					extras[n] = ex
 				}
 			}
 		}(w)
@@ -550,98 +588,6 @@ func trivialOf(n uint32, cs []cuts.Cut) cuts.Cut {
 	return cuts.Cut{Leaves: []uint32{n}}
 }
 
-// choiceGraph returns the graph to map and the choice source to enumerate
-// with: the subject graph itself when Choices is off, or a choice view
-// over it (which shares g's PI/PO interface, so downstream verification
-// against g is unchanged) — checked out of the Views cache when one is
-// configured, built fresh otherwise. Construction honours ctx: a dropped
-// client or expired deadline aborts the build mid-phase instead of
-// burning the full SAT budget.
-func (s *SLAP) choiceGraph(ctx context.Context, g *aig.AIG) (*aig.AIG, cuts.ChoiceSource, error) {
-	if !s.Choices {
-		return g, nil, nil
-	}
-	var v *choice.View
-	var err error
-	if s.Views != nil {
-		v, err = s.Views.Checkout(ctx, g, s.ChoiceOpts)
-	} else {
-		v, err = choice.BuildContext(ctx, g, s.ChoiceOpts)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return v.G, v, nil
-}
-
-// Map runs the full SLAP flow on g: filter cuts with the model, then map
-// with the unchanged mapper (Boolean matching, arrival update and cover
-// selection untouched, as in the paper). With Rounds/Choices set, the flow
-// becomes multi-round mapping over a choice view (see Options fields).
-func (s *SLAP) Map(g *aig.AIG) (*mapper.Result, error) {
-	return s.MapContext(context.Background(), g)
-}
-
-// MapContext is Map with cooperative cancellation between flow stages and
-// inside the classification workers (see FilterCutsContext).
-func (s *SLAP) MapContext(ctx context.Context, g *aig.AIG) (*mapper.Result, error) {
-	mg, ch, err := s.choiceGraph(ctx, g)
-	if err != nil {
-		return nil, err
-	}
-	filtered, extras, err := s.filterCutsChoices(ctx, mg, ch)
-	if err != nil {
-		return nil, err
-	}
-	res, err := mapper.Map(mg, mapper.Options{
-		Library: s.Library, CutSets: filtered,
-		Rounds: s.Rounds, DelayFactor: s.DelayFactor, ExtraCuts: extras,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res.PolicyName = "slap"
-	// Report the post-filter footprint (the fallback cuts the mapper added
-	// for coverability are already included by Map).
-	return res, nil
-}
-
-// MapLUT runs the SLAP flow against the K-LUT FPGA mapper instead of the
-// standard-cell mapper — the extension the paper's introduction points to
-// ("the findings of this work can be extended to benefit FPGA-mapping ...
-// as the nature of the problem is the same"). The same ML-filtered cut
-// sets feed the depth-oriented LUT coverer unchanged.
-func (s *SLAP) MapLUT(g *aig.AIG) (*lutmap.Result, error) {
-	return s.MapLUTContext(context.Background(), g)
-}
-
-// MapLUTContext is MapLUT with cooperative cancellation (see MapContext).
-func (s *SLAP) MapLUTContext(ctx context.Context, g *aig.AIG) (*lutmap.Result, error) {
-	mg, ch, err := s.choiceGraph(ctx, g)
-	if err != nil {
-		return nil, err
-	}
-	filtered, extras, err := s.filterCutsChoices(ctx, mg, ch)
-	if err != nil {
-		return nil, err
-	}
-	res, err := lutmap.Map(mg, lutmap.Options{
-		CutSets: filtered,
-		Rounds:  s.Rounds, DelayFactor: s.DelayFactor, ExtraCuts: extras,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res.PolicyName = "slap"
-	return res, nil
-}
-
 // NodeCutClasses lists the predicted QoR class of every non-trivial cut of
 // one AND node, in the enumeration order of the cut set.
 type NodeCutClasses struct {
@@ -678,10 +624,6 @@ func (s *SLAP) ClassifyContext(ctx context.Context, g *aig.AIG) (*Classification
 	emb := embed.NewEmbedder(g)
 	emb.PrecomputeAll()
 
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	nodes := make([]uint32, 0, g.NumNodes())
 	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
 		if g.IsAnd(n) {
@@ -689,38 +631,14 @@ func (s *SLAP) ClassifyContext(ctx context.Context, g *aig.AIG) (*Classification
 		}
 	}
 	perNode := make([][]int, len(nodes))
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc := &inferScratch{}
-			for ni := w; ni < len(nodes); ni += workers {
-				if cctx.Err() != nil {
-					return
-				}
-				n := nodes[ni]
-				classes, err := s.classifyNode(cctx, emb, n, res.Sets[n], sc)
-				if err != nil {
-					errOnce.Do(func() { firstErr = err; cancel() })
-					return
-				}
-				perNode[ni] = classes
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	scratches := newScratches(s.workers())
+	err := strided(ctx, len(scratches), len(nodes), func(ctx context.Context, w, i int) error {
+		classes, err := s.classifyNode(ctx, emb, nodes[i], res.Sets[nodes[i]], scratches[w])
+		perNode[i] = classes
+		return err
+	})
+	if err != nil {
 		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 
 	out := &Classification{Histogram: make([]int, s.Model.Classes)}

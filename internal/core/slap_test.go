@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,21 +17,35 @@ import (
 	"slap/internal/mapper"
 )
 
-// trainSmall trains a scaled-down model quickly; the accuracy bar is modest
+// small is the scaled-down model every pipeline test shares: training is
+// deterministic and dominates these tests' runtime (most of all under
+// -race), so it runs once.
+var small struct {
+	once sync.Once
+	s    *SLAP
+	rep  *TrainReport
+	err  error
+}
+
+// trainSmall returns a private copy of the shared scaled-down SLAP (the
+// model and report are shared read-only); the accuracy bar is modest
 // because the point of these tests is pipeline correctness, not QoR.
 func trainSmall(t testing.TB) (*SLAP, *TrainReport) {
 	t.Helper()
-	s, rep, err := Train(TrainOptions{
-		Library:        library.ASAP7ish(),
-		MapsPerCircuit: 60,
-		Epochs:         10,
-		Filters:        16,
-		Seed:           7,
+	small.once.Do(func() {
+		small.s, small.rep, small.err = Train(TrainOptions{
+			Library:        library.ASAP7ish(),
+			MapsPerCircuit: 60,
+			Epochs:         10,
+			Filters:        16,
+			Seed:           7,
+		})
 	})
-	if err != nil {
-		t.Fatal(err)
+	if small.err != nil {
+		t.Fatal(small.err)
 	}
-	return s, rep
+	s := *small.s
+	return &s, small.rep
 }
 
 func TestTrainEndToEnd(t *testing.T) {
@@ -111,7 +126,7 @@ func TestSLAPMapEquivalence(t *testing.T) {
 		circuits.ArrayMultiplier(5),
 		circuits.BarrelShifter(8),
 	} {
-		res, err := s.Map(g)
+		res, err := s.MapStream(g)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
@@ -127,7 +142,7 @@ func TestSLAPMapEquivalence(t *testing.T) {
 func TestSLAPReducesCutsVsUnlimited(t *testing.T) {
 	s, _ := trainSmall(t)
 	g := circuits.TrainCLA16()
-	slapRes, err := s.Map(g)
+	slapRes, err := s.MapStream(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +201,7 @@ func TestMaxCutsPerNodeCapsLists(t *testing.T) {
 		}
 	}
 	// The capped flow still maps correctly.
-	out, err := s.Map(g)
+	out, err := s.MapStream(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +214,7 @@ func TestExpectedClassVariant(t *testing.T) {
 	s, _ := trainSmall(t)
 	g := circuits.TrainRC16()
 	s.UseExpectedClass = true
-	res, err := s.Map(g)
+	res, err := s.MapStream(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +229,7 @@ func TestThresholdsRespected(t *testing.T) {
 	// the mapper must still produce a correct netlist via fanin fallbacks.
 	s2 := &SLAP{Model: s.Model, Library: s.Library, GoodMax: -1, AvgMax: -1}
 	g := circuits.TrainRC16()
-	res, err := s2.Map(g)
+	res, err := s2.MapStream(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +241,7 @@ func TestThresholdsRespected(t *testing.T) {
 func TestSLAPMapLUT(t *testing.T) {
 	s, _ := trainSmall(t)
 	g := circuits.ALUCompare(10)
-	res, err := s.MapLUT(g)
+	res, err := s.MapLUTStream(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +272,7 @@ func TestBatchedFilterMatchesPerSample(t *testing.T) {
 
 	s.Batch = nil
 	perCuts := s.FilterCuts(g)
-	perRes, err := s.Map(g)
+	perRes, err := s.MapStream(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +292,7 @@ func TestBatchedFilterMatchesPerSample(t *testing.T) {
 		if !reflect.DeepEqual(got.Sets, perCuts.Sets) {
 			t.Fatalf("%s: batched filtering chose different cut sets", tc.name)
 		}
-		res, err := s.Map(g)
+		res, err := s.MapStream(g)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

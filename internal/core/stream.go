@@ -1,17 +1,15 @@
 // Fused SLAP mapping: enumeration, ML cut filtering and Boolean matching
 // run as one streaming pipeline over the level wavefront. Each completed
 // level is classified in parallel by the inference workers (per-sample or
-// batched, exactly as the two-phase flow), the filtered lists feed the
-// incremental mapper on the spot, and the enumerator retires the level's
-// cut storage — so the full cut universe is never materialised. Filtering
-// decisions are per-node deterministic, so the fused result is
-// byte-identical to FilterCuts + Map.
+// batched), the filtered lists feed the incremental mapper on the spot,
+// and the enumerator retires the level's cut storage — so the full cut
+// universe is never materialised. Filtering decisions are per-node
+// deterministic, so the fused result is byte-identical to FilterCuts
+// followed by mapper.Map over the filtered sets.
 package core
 
 import (
 	"context"
-	"runtime"
-	"sync"
 
 	"slap/internal/aig"
 	"slap/internal/cuts"
@@ -20,84 +18,62 @@ import (
 	"slap/internal/mapper"
 )
 
-// MapStream is MapContext's fused streaming equivalent over a background
-// context.
+// MapStream runs the SLAP flow on g under s's own configuration through
+// Run and returns the standard-cell result.
 func (s *SLAP) MapStream(g *aig.AIG) (*mapper.Result, error) {
-	return s.MapStreamContext(context.Background(), g)
+	out, err := Run(context.Background(), g, s.request("asic"))
+	if err != nil {
+		return nil, err
+	}
+	return out.ASIC, nil
 }
 
-// MapStreamContext runs the full SLAP flow on g as a fused pipeline:
-// matching consumes each level's ML-filtered cuts as the wavefront
-// produces them. The Result is byte-identical to MapContext, including the
-// multi-round and choice-view configurations.
-func (s *SLAP) MapStreamContext(ctx context.Context, g *aig.AIG) (*mapper.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	mg, ch, err := s.choiceGraph(ctx, g)
-	if err != nil {
-		return nil, err
-	}
-	st, err := mapper.NewStream(mg, mapper.Options{Library: s.Library, Rounds: s.Rounds, DelayFactor: s.DelayFactor})
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.streamFiltered(ctx, mg, ch, func(n uint32, kept, extras []cuts.Cut) {
-		st.ConsumeNode(n, kept)
-		if extras != nil {
-			st.ConsumeExtras(n, extras)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	st.SetPeakCuts(res.PeakCuts)
-	r, err := st.Finish()
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	r.PolicyName = "slap"
-	return r, nil
-}
-
-// MapLUTStream is MapLUTContext's fused streaming equivalent.
+// MapLUTStream is MapStream against the K-LUT mapper — the extension the
+// paper's introduction points to: the same ML-filtered cuts feed the
+// depth-oriented LUT coverer unchanged.
 func (s *SLAP) MapLUTStream(g *aig.AIG) (*lutmap.Result, error) {
-	return s.MapLUTStreamContext(context.Background(), g)
-}
-
-// MapLUTStreamContext runs the SLAP flow against the K-LUT mapper as a
-// fused pipeline, byte-identical to MapLUTContext.
-func (s *SLAP) MapLUTStreamContext(ctx context.Context, g *aig.AIG) (*lutmap.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	mg, ch, err := s.choiceGraph(ctx, g)
+	out, err := Run(context.Background(), g, s.request("lut"))
 	if err != nil {
 		return nil, err
 	}
-	st := lutmap.NewStream(mg, lutmap.Options{Rounds: s.Rounds, DelayFactor: s.DelayFactor})
-	res, err := s.streamFiltered(ctx, mg, ch, func(n uint32, kept, extras []cuts.Cut) {
+	return out.LUT, nil
+}
+
+// request is the Run request that maps with s's own fields.
+func (s *SLAP) request(target string) Request {
+	return Request{
+		Target: target, Policy: "slap", SLAP: s, Library: s.Library,
+		Workers: s.Workers, Rounds: s.Rounds, DelayFactor: s.DelayFactor,
+		Choices: s.Choices, ChoiceOpts: s.ChoiceOpts, Views: s.Views, Pool: s.Pool,
+	}
+}
+
+// consumer is the incremental mapper side of the fused pipeline:
+// mapper.Stream or lutmap.Stream.
+type consumer interface {
+	ConsumeNode(n uint32, cs []cuts.Cut)
+	ConsumeExtras(n uint32, cs []cuts.Cut)
+	SetPeakCuts(peak int)
+}
+
+// feed streams g's ML-filtered cuts into st. A non-nil snap captures each
+// AND node's kept list just before the mapper consumes it (and before the
+// enumerator retires the level's storage).
+func (s *SLAP) feed(ctx context.Context, g *aig.AIG, ch cuts.ChoiceSource, st consumer, snap *SlapSnapshot) error {
+	res, err := s.streamFiltered(ctx, g, ch, func(n uint32, kept, extras []cuts.Cut) {
+		if snap != nil && g.IsAnd(n) {
+			snap.capture(n, kept)
+		}
 		st.ConsumeNode(n, kept)
 		if extras != nil {
 			st.ConsumeExtras(n, extras)
 		}
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	st.SetPeakCuts(res.PeakCuts)
-	r, err := st.Finish()
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	r.PolicyName = "slap"
-	return r, nil
+	return nil
 }
 
 // streamFiltered drives the fused enumerate→classify→consume pipeline:
@@ -113,14 +89,7 @@ func (s *SLAP) streamFiltered(ctx context.Context, g *aig.AIG, ch cuts.ChoiceSou
 	emb := embed.NewEmbedder(g)
 	emb.PrecomputeAll()
 
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	scratches := make([]*inferScratch, workers)
-	for i := range scratches {
-		scratches[i] = &inferScratch{}
-	}
+	scratches := newScratches(s.workers())
 	filtered := make([][]cuts.Cut, g.NumNodes())
 	var extras [][]cuts.Cut
 	if s.Rounds > 1 {
@@ -141,22 +110,7 @@ func (s *SLAP) streamFiltered(ctx context.Context, g *aig.AIG, ch cuts.ChoiceSou
 	enum := &cuts.Enumerator{G: g, Policy: cuts.UnlimitedPolicy{}, MergeCap: s.MergeCap, Workers: s.Workers, Arena: arena, Choices: ch}
 
 	sink := func(_ int32, nodes []uint32, sets [][]cuts.Cut) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if workers == 1 || len(nodes) < 2 {
-			sc := scratches[0]
-			for _, n := range nodes {
-				out, ex, err := s.filterNode(ctx, emb, n, sets[n], sc)
-				if err != nil {
-					return err
-				}
-				filtered[n] = out
-				if extras != nil {
-					extras[n] = ex
-				}
-			}
-		} else if err := s.filterLevel(ctx, emb, nodes, sets, filtered, extras, scratches); err != nil {
+		if err := s.filterNodes(ctx, emb, nodes, sets, filtered, extras, scratches); err != nil {
 			return err
 		}
 		// The filtered lists hold durable leaves only after the consumer
@@ -178,42 +132,4 @@ func (s *SLAP) streamFiltered(ctx context.Context, g *aig.AIG, ch cuts.ChoiceSou
 		return nil, err
 	}
 	return res, nil
-}
-
-// filterLevel classifies one level's nodes across the inference workers,
-// mirroring FilterCutsContext's strided worker loop (including the
-// first-error-wins cancellation of a failing batch backend).
-func (s *SLAP) filterLevel(ctx context.Context, emb *embed.Embedder, nodes []uint32, sets, filtered, extras [][]cuts.Cut, scratches []*inferScratch) error {
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	workers := len(scratches)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc := scratches[w]
-			for ni := w; ni < len(nodes); ni += workers {
-				if cctx.Err() != nil {
-					return
-				}
-				n := nodes[ni]
-				out, ex, err := s.filterNode(cctx, emb, n, sets[n], sc)
-				if err != nil {
-					errOnce.Do(func() { firstErr = err; cancel() })
-					return
-				}
-				filtered[n] = out
-				if extras != nil {
-					extras[n] = ex
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return firstErr
 }

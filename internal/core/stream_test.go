@@ -43,7 +43,7 @@ func requireSameStreamResult(t *testing.T, name string, want, got *mapper.Result
 }
 
 // TestMapStreamMatchesMapContext pins the fused SLAP pipeline to the
-// two-phase flow: identical netlist bytes, metrics and counters, for both
+// two-phase oracle: identical netlist bytes, metrics and counters, for both
 // the per-sample and batched inference backends, across worker counts and
 // arena pooling.
 func TestMapStreamMatchesMapContext(t *testing.T) {
@@ -54,10 +54,7 @@ func TestMapStreamMatchesMapContext(t *testing.T) {
 	}
 	for _, gc := range graphs {
 		s := untrained(3)
-		want, err := s.MapContext(context.Background(), gc.g)
-		if err != nil {
-			t.Fatalf("%s: MapContext: %v", gc.name, err)
-		}
+		want := oracleSLAP(t, s, gc.g)
 		pool := cuts.NewPool(2)
 		for _, workers := range []int{1, 2, 4} {
 			for _, pooled := range []bool{false, true} {
@@ -66,9 +63,9 @@ func TestMapStreamMatchesMapContext(t *testing.T) {
 				if pooled {
 					s2.Pool = pool
 				}
-				got, err := s2.MapStreamContext(context.Background(), gc.g)
+				got, err := s2.MapStream(gc.g)
 				if err != nil {
-					t.Fatalf("%s: MapStreamContext: %v", gc.name, err)
+					t.Fatalf("%s: MapStream: %v", gc.name, err)
 				}
 				requireSameStreamResult(t, fmt.Sprintf("%s/workers=%d/pool=%v", gc.name, workers, pooled), want, got)
 			}
@@ -87,7 +84,7 @@ type circuitCase struct {
 func TestMapStreamBatchedBackend(t *testing.T) {
 	g := circuits.BoothMultiplier(6)
 	s := untrained(7)
-	want, err := s.MapStreamContext(context.Background(), g)
+	want, err := s.MapStream(g)
 	if err != nil {
 		t.Fatalf("per-sample MapStream: %v", err)
 	}
@@ -96,7 +93,7 @@ func TestMapStreamBatchedBackend(t *testing.T) {
 	sEng := untrained(7)
 	sEng.Batch = eng
 	sEng.Workers = 2
-	got, err := sEng.MapStreamContext(context.Background(), g)
+	got, err := sEng.MapStream(g)
 	if err != nil {
 		t.Fatalf("engine MapStream: %v", err)
 	}
@@ -107,7 +104,7 @@ func TestMapStreamBatchedBackend(t *testing.T) {
 	sCo := untrained(7)
 	sCo.Batch = co
 	sCo.Workers = 2
-	got, err = sCo.MapStreamContext(context.Background(), g)
+	got, err = sCo.MapStream(g)
 	if err != nil {
 		t.Fatalf("coalescer MapStream: %v", err)
 	}
@@ -118,17 +115,14 @@ func TestMapStreamBatchedBackend(t *testing.T) {
 func TestMapLUTStreamMatchesTwoPhase(t *testing.T) {
 	g := circuits.BoothMultiplier(6)
 	s := untrained(9)
-	want, err := s.MapLUTContext(context.Background(), g)
-	if err != nil {
-		t.Fatalf("MapLUTContext: %v", err)
-	}
+	want := oracleSLAPLUT(t, s, g)
 	for _, workers := range []int{1, 4} {
 		s2 := untrained(9)
 		s2.Workers = workers
 		s2.Pool = cuts.NewPool(1)
-		got, err := s2.MapLUTStreamContext(context.Background(), g)
+		got, err := s2.MapLUTStream(g)
 		if err != nil {
-			t.Fatalf("MapLUTStreamContext: %v", err)
+			t.Fatalf("MapLUTStream: %v", err)
 		}
 		if want.Depth != got.Depth || want.NumLUTs() != got.NumLUTs() || want.CutsConsidered != got.CutsConsidered {
 			t.Fatalf("workers=%d: (depth %d, luts %d, cuts %d), want (%d, %d, %d)",
@@ -163,7 +157,7 @@ func TestMapStreamCancellation(t *testing.T) {
 	s := untrained(11)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.MapStreamContext(ctx, g); err != context.Canceled {
+	if _, err := Run(ctx, g, s.request("asic")); err != context.Canceled {
 		t.Fatalf("got err %v, want context.Canceled", err)
 	}
 }

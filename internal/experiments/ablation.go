@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"slap/internal/core"
 	"slap/internal/cuts"
 	"slap/internal/library"
-	"slap/internal/mapper"
 )
 
 // AblationCell is one (design, sort-attribute) mapping outcome.
@@ -68,7 +68,7 @@ func RunAblation(p Profile, lib *library.Library, numDesigns int, progress func(
 		progress(fmt.Sprintf("ablation: %s", d.Name))
 		row := make([]AblationCell, len(policies))
 		for pi, pol := range policies {
-			res, err := mapper.Map(g, mapper.Options{Library: lib, Policy: pol})
+			res, err := mapASIC(g, core.Request{CutPolicy: pol, Library: lib})
 			if err != nil {
 				return nil, fmt.Errorf("ablation: %s/%s: %w", d.Name, pol.Name(), err)
 			}

@@ -7,9 +7,7 @@ import (
 	"slap/internal/aig"
 	"slap/internal/circuits"
 	"slap/internal/core"
-	"slap/internal/cuts"
 	"slap/internal/library"
-	"slap/internal/mapper"
 )
 
 // ExtendedDesigns returns the EPFL-style arithmetic blocks the paper
@@ -46,24 +44,11 @@ func RunExtended(p Profile, s *core.SLAP, lib *library.Library, progress func(st
 	for _, d := range ExtendedDesigns(p) {
 		g := d.Build()
 		progress(fmt.Sprintf("extended: %s (%d ands)", d.Name, g.NumAnds()))
-		abc, err := mapper.Map(g, mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}})
+		row, err := table2Row(d.Name, g, s, lib)
 		if err != nil {
-			return nil, fmt.Errorf("extended: %s/abc: %w", d.Name, err)
+			return nil, fmt.Errorf("extended: %w", err)
 		}
-		unl, err := mapper.Map(g, mapper.Options{Library: lib, Policy: cuts.UnlimitedPolicy{}})
-		if err != nil {
-			return nil, fmt.Errorf("extended: %s/unlimited: %w", d.Name, err)
-		}
-		sl, err := s.Map(g)
-		if err != nil {
-			return nil, fmt.Errorf("extended: %s/slap: %w", d.Name, err)
-		}
-		t.Rows = append(t.Rows, Table2Row{
-			Circuit: d.Name,
-			ABC:     QoR{Area: abc.Area, Delay: abc.Delay, Cuts: abc.CutsConsidered},
-			Unl:     QoR{Area: unl.Area, Delay: unl.Delay, Cuts: unl.CutsConsidered},
-			SLAP:    QoR{Area: sl.Area, Delay: sl.Delay, Cuts: sl.CutsConsidered},
-		})
+		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
 }

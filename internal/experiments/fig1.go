@@ -2,15 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
 
 	"slap/internal/aig"
-	"slap/internal/cuts"
+	"slap/internal/core"
 	"slap/internal/library"
-	"slap/internal/mapper"
 )
 
 // QoRPoint is one mapping solution in the Fig. 1 scatter.
@@ -40,7 +38,7 @@ func RunFig1(p Profile, build func() *aig.AIG, lib *library.Library, progress fu
 	g := build()
 	progress(fmt.Sprintf("fig1: %s (%d ands), %d samples", g.Name, g.NumAnds(), p.Fig1Samples))
 
-	def, err := mapper.Map(g, mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}})
+	def, err := mapASIC(g, core.Request{Policy: "default", Library: lib})
 	if err != nil {
 		return nil, fmt.Errorf("fig1: default map: %w", err)
 	}
@@ -59,11 +57,7 @@ func RunFig1(p Profile, build func() *aig.AIG, lib *library.Library, progress fu
 		sem <- struct{}{}
 		go func(i int) {
 			defer func() { <-sem; wg.Done() }()
-			policy := &cuts.ShufflePolicy{
-				Rng:   rand.New(rand.NewSource(p.Seed + int64(i))),
-				Limit: p.ShuffleLimit,
-			}
-			res, err := mapper.Map(g, mapper.Options{Library: lib, Policy: policy})
+			res, err := mapASIC(g, core.Request{Policy: "shuffle", Seed: p.Seed + int64(i), Limit: p.ShuffleLimit, Library: lib})
 			if err != nil {
 				errs[i] = err
 				return

@@ -1,13 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
 
+	"slap/internal/aig"
 	"slap/internal/core"
-	"slap/internal/cuts"
 	"slap/internal/library"
 	"slap/internal/mapper"
 )
@@ -48,26 +49,43 @@ func RunTable2(p Profile, s *core.SLAP, lib *library.Library, progress func(stri
 	for _, d := range Designs(p) {
 		g := d.Build()
 		progress(fmt.Sprintf("table2: %s (%d ands)", d.Name, g.NumAnds()))
-		abc, err := mapper.Map(g, mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}})
+		row, err := table2Row(d.Name, g, s, lib)
 		if err != nil {
-			return nil, fmt.Errorf("table2: %s/abc: %w", d.Name, err)
+			return nil, fmt.Errorf("table2: %w", err)
 		}
-		unl, err := mapper.Map(g, mapper.Options{Library: lib, Policy: cuts.UnlimitedPolicy{}})
-		if err != nil {
-			return nil, fmt.Errorf("table2: %s/unlimited: %w", d.Name, err)
-		}
-		sl, err := s.Map(g)
-		if err != nil {
-			return nil, fmt.Errorf("table2: %s/slap: %w", d.Name, err)
-		}
-		t.Rows = append(t.Rows, Table2Row{
-			Circuit: d.Name,
-			ABC:     QoR{Area: abc.Area, Delay: abc.Delay, Cuts: abc.CutsConsidered},
-			Unl:     QoR{Area: unl.Area, Delay: unl.Delay, Cuts: unl.CutsConsidered},
-			SLAP:    QoR{Area: sl.Area, Delay: sl.Delay, Cuts: sl.CutsConsidered},
-		})
+		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
+}
+
+// table2Row maps g under the three flows through core.Run: the vanilla ABC
+// heuristic and Unlimited on lib, SLAP on its own library.
+func table2Row(name string, g *aig.AIG, s *core.SLAP, lib *library.Library) (Table2Row, error) {
+	row := Table2Row{Circuit: name}
+	for _, f := range []struct {
+		q   *QoR
+		req core.Request
+	}{
+		{&row.ABC, core.Request{Policy: "default", Library: lib}},
+		{&row.Unl, core.Request{Policy: "unlimited", Library: lib}},
+		{&row.SLAP, core.Request{Policy: "slap", SLAP: s}},
+	} {
+		res, err := mapASIC(g, f.req)
+		if err != nil {
+			return row, fmt.Errorf("%s/%s: %w", name, f.req.Policy, err)
+		}
+		*f.q = QoR{Area: res.Area, Delay: res.Delay, Cuts: res.CutsConsidered}
+	}
+	return row, nil
+}
+
+// mapASIC maps g through core.Run and returns the standard-cell result.
+func mapASIC(g *aig.AIG, req core.Request) (*mapper.Result, error) {
+	out, err := core.Run(context.Background(), g, req)
+	if err != nil {
+		return nil, err
+	}
+	return out.ASIC, nil
 }
 
 // geomean returns the geometric mean of xs (which must be positive).

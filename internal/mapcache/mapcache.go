@@ -14,7 +14,6 @@
 package mapcache
 
 import (
-	"container/list"
 	"sync"
 
 	"slap/internal/aig"
@@ -98,9 +97,6 @@ type Entry struct {
 	// Snap, when non-nil, is the ECO baseline snapshot for delta-remapping
 	// structurally similar designs.
 	Snap Snapshot
-
-	bytes int64
-	elem  *list.Element
 }
 
 // Stats is a point-in-time counter snapshot.
@@ -140,22 +136,13 @@ const minOverlap = 0.5
 // Cache is a byte-budgeted LRU of mapping results with an integrated
 // singleflight group. Safe for concurrent use.
 type Cache struct {
-	mu     sync.Mutex
-	budget int64
-	bytes  int64
-	ll     *list.List // front = most recently used; values are *Entry
-	byKey  map[Key]*list.Element
+	mu  sync.Mutex
+	lru *LRU[*Entry]
 
-	hits, misses, ecoHits, evictions int64
-	snapshots                        int
+	hits, misses, ecoHits int64
+	snapshots             int
 
-	flight map[Key]*flightCall
-}
-
-type flightCall struct {
-	done  chan struct{}
-	entry *Entry
-	err   error
+	flight *Flight[*Entry]
 }
 
 // New builds a cache with the given byte budget (<= 0 means DefaultBudget).
@@ -163,12 +150,13 @@ func New(budget int64) *Cache {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-	return &Cache{
-		budget: budget,
-		ll:     list.New(),
-		byKey:  make(map[Key]*list.Element),
-		flight: make(map[Key]*flightCall),
-	}
+	c := &Cache{flight: NewFlight[*Entry]()}
+	c.lru = NewLRU(budget, func(e *Entry) {
+		if e.Snap != nil {
+			c.snapshots--
+		}
+	})
+	return c
 }
 
 // Get returns the entry stored under k, promoting it to most recently
@@ -176,13 +164,13 @@ func New(budget int64) *Cache {
 func (c *Cache) Get(k Key) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[k]; ok {
-		c.ll.MoveToFront(el)
+	e, ok := c.lru.Get(k)
+	if ok {
 		c.hits++
-		return el.Value.(*Entry), true
+	} else {
+		c.misses++
 	}
-	c.misses++
-	return nil, false
+	return e, ok
 }
 
 // entryBytes estimates an entry's resident size: cells and their pin
@@ -205,45 +193,12 @@ func entryBytes(e *Entry) int64 {
 // evicts least-recently-used entries until the byte budget holds. An entry
 // larger than the whole budget is not cached.
 func (c *Cache) Add(e *Entry) {
-	e.bytes = entryBytes(e)
-	if e.bytes > c.budget {
-		return
-	}
+	bytes := entryBytes(e)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[e.Key]; ok {
-		old := el.Value.(*Entry)
-		c.bytes -= old.bytes
-		if old.Snap != nil {
-			c.snapshots--
-		}
-		c.ll.Remove(el)
-		delete(c.byKey, e.Key)
-	}
-	e.elem = c.ll.PushFront(e)
-	c.byKey[e.Key] = e.elem
-	c.bytes += e.bytes
-	if e.Snap != nil {
+	if c.lru.Add(e.Key, e, bytes) && e.Snap != nil {
 		c.snapshots++
 	}
-	for c.bytes > c.budget && c.ll.Len() > 1 {
-		c.evictOldestLocked()
-	}
-}
-
-func (c *Cache) evictOldestLocked() {
-	el := c.ll.Back()
-	if el == nil {
-		return
-	}
-	old := el.Value.(*Entry)
-	c.ll.Remove(el)
-	delete(c.byKey, old.Key)
-	c.bytes -= old.bytes
-	if old.Snap != nil {
-		c.snapshots--
-	}
-	c.evictions++
 }
 
 // Nearest scans the most recently used snapshot-bearing entries with a
@@ -254,15 +209,12 @@ func (c *Cache) evictOldestLocked() {
 func (c *Cache) Nearest(sig string, hashes []uint64) *Entry {
 	c.mu.Lock()
 	var candidates []*Entry
-	scanned := 0
-	for el := c.ll.Front(); el != nil && scanned < nearestScan; el = el.Next() {
-		e := el.Value.(*Entry)
-		if e.Snap == nil || e.Sig != sig {
-			continue
+	c.lru.Each(func(e *Entry) bool {
+		if e.Snap != nil && e.Sig == sig {
+			candidates = append(candidates, e)
 		}
-		candidates = append(candidates, e)
-		scanned++
-	}
+		return len(candidates) < nearestScan
+	})
 	c.mu.Unlock()
 
 	var best *Entry
@@ -290,9 +242,9 @@ func (c *Cache) Stats() Stats {
 		Hits:      c.hits,
 		Misses:    c.misses,
 		ECOHits:   c.ecoHits,
-		Evictions: c.evictions,
-		Bytes:     c.bytes,
-		Entries:   c.ll.Len(),
+		Evictions: c.lru.Evictions(),
+		Bytes:     c.lru.Bytes(),
+		Entries:   c.lru.Len(),
 		Snapshots: c.snapshots,
 	}
 }
@@ -304,23 +256,11 @@ func (c *Cache) Stats() Stats {
 // cache hits (the work was deduplicated away). compute typically re-checks
 // Get, falls back to ECO or a full map, and Adds the entry itself.
 func (c *Cache) Do(k Key, compute func() (*Entry, error)) (e *Entry, shared bool, err error) {
-	c.mu.Lock()
-	if call, ok := c.flight[k]; ok {
-		c.mu.Unlock()
-		<-call.done
+	e, shared, err = c.flight.Do(k, compute)
+	if shared {
 		c.mu.Lock()
 		c.hits++
 		c.mu.Unlock()
-		return call.entry, true, call.err
 	}
-	call := &flightCall{done: make(chan struct{})}
-	c.flight[k] = call
-	c.mu.Unlock()
-
-	call.entry, call.err = compute()
-	c.mu.Lock()
-	delete(c.flight, k)
-	c.mu.Unlock()
-	close(call.done)
-	return call.entry, false, call.err
+	return e, shared, err
 }

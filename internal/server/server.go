@@ -8,7 +8,6 @@ import (
 	"expvar"
 	"fmt"
 	"io"
-	"math/rand"
 	"mime"
 	"net/http"
 	"os"
@@ -66,9 +65,6 @@ type Config struct {
 	// observed arrival rate (EWMA), clamped to BatchWait; the current value
 	// is exported on /metrics.
 	AdaptiveBatchWait bool
-	// DisableStreaming falls back to the two-phase enumerate-then-match
-	// pipeline for every mapping instead of the fused streaming flow.
-	DisableStreaming bool
 	// ArenaCache is how many cut arenas the server caches across mapping
 	// requests, keyed by graph identity, so repeated mappings of the same
 	// design reuse cut storage instead of reallocating it
@@ -556,36 +552,6 @@ func queryFloat(s string) float64 {
 	return v
 }
 
-// requestChoiceView resolves the graph a request maps over: the original,
-// or — when the client asked for structural choices — a combined choice
-// view whose equivalence classes the enumerator exposes to matching. The
-// view shares the base PIs/POs, so verification and netlist emission still
-// run against the client's circuit. Views are checked out of the server's
-// content-addressed cache (built at most once per (graph, options) pair,
-// concurrent identical requests share one build) under the configured
-// choice options; construction honours ctx, so a dropped client or an
-// expired deadline aborts an in-flight build instead of burning the full
-// SAT budget.
-func (s *Server) requestChoiceView(ctx context.Context, g *aig.AIG, choices bool) (*aig.AIG, cuts.ChoiceSource, error) {
-	if !choices {
-		return g, nil, nil
-	}
-	var v *choice.View
-	var err error
-	if s.views != nil {
-		v, err = s.views.Checkout(ctx, g, s.cfg.ChoiceOptions)
-	} else {
-		v, err = choice.BuildContext(ctx, g, s.cfg.ChoiceOptions)
-		if err == nil {
-			s.metrics.ObserveChoiceBuild(v)
-		}
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return v.G, v, nil
-}
-
 // timeoutFor clamps a client-requested timeout to the server's cap.
 func (s *Server) timeoutFor(ms int64) time.Duration {
 	d := time.Duration(ms) * time.Millisecond
@@ -823,79 +789,37 @@ func (s *Server) stampWorker(w http.ResponseWriter) {
 	}
 }
 
-// executeMap runs one mapping with the granted worker count. Each request
-// maps its own freshly decoded graph; the only shared state is the
-// registry's model (read-only) and library (internally locked memo).
+// executeMap runs one mapping with the granted worker count through
+// core.Run, with the server's arena pool, view cache and result cache.
+// Each request maps its own freshly decoded graph; the only shared state is
+// the registry's model (read-only) and library (internally locked memo).
 func (s *Server) executeMap(ctx context.Context, req *MapRequest, g *aig.AIG, lib *library.Library, model *nn.Model, workers int) (*MapResponse, error) {
 	if s.faultHook != nil {
 		s.faultHook("/v1/map")
 	}
-	target := req.Target
-	if target == "" {
-		target = "asic"
+	run := core.Request{
+		Target: req.Target, Policy: req.Policy, Limit: req.Limit, Seed: req.Seed,
+		Library: lib, Workers: workers, Rounds: req.Rounds, DelayFactor: req.DelayFactor,
+		Choices: req.Choices, ChoiceOpts: s.cfg.ChoiceOptions, Views: s.views, Pool: s.pool,
+		Cache: s.cache, ECO: s.cfg.ECO, Verify: req.Verify,
 	}
-	policy := req.Policy
-	if policy == "" {
-		policy = "default"
+	if model != nil {
+		run.SLAP = core.New(model, lib)
+		run.SLAP.Batch = s.batcherFor(model)
 	}
-
-	var cutPolicy cuts.Policy
-	switch policy {
-	case "default":
-		cutPolicy = cuts.DefaultPolicy{Limit: req.Limit}
-	case "unlimited":
-		cutPolicy = cuts.UnlimitedPolicy{}
-	case "shuffle":
-		cutPolicy = &cuts.ShufflePolicy{Rng: rand.New(rand.NewSource(req.Seed)), Limit: req.Limit}
-	case "slap":
-		// handled below via core.SLAP
-	default:
-		return nil, fmt.Errorf("unknown policy %q (want default, unlimited, shuffle or slap)", policy)
+	out, err := core.Run(ctx, g, run)
+	if err != nil {
+		return nil, err
 	}
-
-	streaming := !s.cfg.DisableStreaming
-	resp := &MapResponse{Target: target, Workers: workers}
-	switch target {
-	case "lut":
-		var res *lutmap.Result
-		var err error
-		if policy == "slap" {
-			sl := core.New(model, lib)
-			sl.Workers = workers
-			sl.Batch = s.batcherFor(model)
-			sl.Rounds = req.Rounds
-			sl.DelayFactor = req.DelayFactor
-			sl.Choices = req.Choices
-			sl.ChoiceOpts = s.cfg.ChoiceOptions
-			sl.Views = s.views
-			if streaming {
-				sl.Pool = s.pool
-				res, err = sl.MapLUTStreamContext(ctx, g)
-			} else {
-				res, err = sl.MapLUTContext(ctx, g)
-			}
-		} else {
-			mg, ch, cerr := s.requestChoiceView(ctx, g, req.Choices)
-			if cerr != nil {
-				return nil, cerr
-			}
-			opt := lutmap.Options{
-				Policy: cutPolicy, Workers: workers,
-				Rounds: req.Rounds, DelayFactor: req.DelayFactor, Choices: ch,
-			}
-			if streaming {
-				opt.Pool = s.pool
-				res, err = lutmap.MapStream(mg, opt)
-			} else {
-				res, err = lutmap.Map(mg, opt)
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	if out.BuiltView != nil {
+		s.metrics.ObserveChoiceBuild(out.BuiltView)
+	}
+	if out.ECO != nil {
+		s.metrics.ObserveDirtyFraction(out.ECO.DirtyFraction)
+	}
+	resp := &MapResponse{Target: "asic", Workers: workers, Verified: out.Verified}
+	if res := out.LUT; res != nil {
+		resp.Target = "lut"
 		resp.Policy = res.PolicyName
 		resp.LUTs = res.NumLUTs()
 		resp.Depth = res.Depth
@@ -903,96 +827,38 @@ func (s *Server) executeMap(ctx context.Context, req *MapRequest, g *aig.AIG, li
 		resp.PeakCuts = res.PeakCuts
 		resp.RoundsRun, resp.RoundStats = lutRounds(res.RoundStats)
 		return resp, nil
-	case "asic":
-		var served *asicServed
-		var err error
-		if s.cache != nil {
-			served, err = s.cachedMapASIC(ctx, req, g, lib, model, workers, policy, cutPolicy, streaming)
-		} else {
-			var res *mapper.Result
-			if policy == "slap" {
-				sl := core.New(model, lib)
-				sl.Workers = workers
-				sl.Batch = s.batcherFor(model)
-				sl.Rounds = req.Rounds
-				sl.DelayFactor = req.DelayFactor
-				sl.Choices = req.Choices
-				sl.ChoiceOpts = s.cfg.ChoiceOptions
-				sl.Views = s.views
-				if streaming {
-					sl.Pool = s.pool
-					res, err = sl.MapStreamContext(ctx, g)
-				} else {
-					res, err = sl.MapContext(ctx, g)
-				}
-			} else {
-				mg, ch, cerr := s.requestChoiceView(ctx, g, req.Choices)
-				if cerr != nil {
-					return nil, cerr
-				}
-				opt := mapper.Options{
-					Library: lib, Policy: cutPolicy, Workers: workers,
-					Rounds: req.Rounds, DelayFactor: req.DelayFactor, Choices: ch,
-				}
-				if streaming {
-					opt.Pool = s.pool
-					res, err = mapper.MapStream(mg, opt)
-				} else {
-					res, err = mapper.Map(mg, opt)
-				}
-			}
-			served = &asicServed{res: res}
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res := served.res
-		resp.Policy = res.PolicyName
-		resp.PeakCuts = res.PeakCuts
-		resp.Area = res.Area
-		resp.Delay = res.Delay
-		resp.ADP = res.ADP()
-		resp.Cells = res.Netlist.NumCells()
-		resp.CutsConsidered = res.CutsConsidered
-		resp.MatchAttempts = res.MatchAttempts
-		resp.Cached = served.cached
-		resp.ECO = served.eco
-		resp.DirtyFraction = served.dirty
-		resp.RoundsRun, resp.RoundStats = asicRounds(res.RoundStats)
-		if req.Verify {
-			// Cached entries carry their verify bit; an entry cached without
-			// verification is checked here without re-mapping.
-			if !served.verified {
-				if err := res.Netlist.EquivalentTo(g, 8, rand.New(rand.NewSource(99))); err != nil {
-					return nil, fmt.Errorf("equivalence check failed: %w", err)
-				}
-			}
-			resp.Verified = true
-		}
-		switch req.Netlist {
-		case "", "none":
-		case "verilog":
-			var buf bytes.Buffer
-			if err := res.Netlist.WriteVerilog(&buf); err != nil {
-				return nil, err
-			}
-			resp.Netlist, resp.NetlistFormat = buf.String(), "verilog"
-		case "blif":
-			var buf bytes.Buffer
-			if err := res.Netlist.WriteBLIF(&buf); err != nil {
-				return nil, err
-			}
-			resp.Netlist, resp.NetlistFormat = buf.String(), "blif"
-		default:
-			return nil, fmt.Errorf("unknown netlist format %q (want verilog, blif or none)", req.Netlist)
-		}
-		return resp, nil
-	default:
-		return nil, fmt.Errorf("unknown target %q (want asic or lut)", target)
 	}
+	res := out.ASIC
+	resp.Policy = res.PolicyName
+	resp.PeakCuts = res.PeakCuts
+	resp.Area = res.Area
+	resp.Delay = res.Delay
+	resp.ADP = res.ADP()
+	resp.Cells = res.Netlist.NumCells()
+	resp.CutsConsidered = res.CutsConsidered
+	resp.MatchAttempts = res.MatchAttempts
+	resp.Cached = out.Hit || out.Shared
+	if out.ECO != nil {
+		resp.ECO, resp.DirtyFraction = true, out.ECO.DirtyFraction
+	}
+	resp.RoundsRun, resp.RoundStats = asicRounds(res.RoundStats)
+	var write func(io.Writer) error
+	switch req.Netlist {
+	case "", "none":
+		return resp, nil
+	case "verilog":
+		write = res.Netlist.WriteVerilog
+	case "blif":
+		write = res.Netlist.WriteBLIF
+	default:
+		return nil, fmt.Errorf("unknown netlist format %q (want verilog, blif or none)", req.Netlist)
+	}
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		return nil, err
+	}
+	resp.Netlist, resp.NetlistFormat = buf.String(), req.Netlist
+	return resp, nil
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {

@@ -124,7 +124,7 @@ func TestMapEndpointMatchesCLI(t *testing.T) {
 			t.Fatal(err)
 		}
 		sl := core.New(model, lib)
-		want, err := sl.Map(g)
+		want, err := sl.MapStream(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -731,14 +731,11 @@ func TestBatchingDisabled(t *testing.T) {
 	}
 }
 
-// TestStreamingServerParity maps the same circuit through the default
-// (streaming) server and a DisableStreaming one and requires identical
-// mapping figures and netlist bytes — the HTTP-level view of the fused
-// pipeline's byte-identity guarantee — then checks the arena pool and
-// peak-cut telemetry on /metrics after repeated same-graph requests.
-func TestStreamingServerParity(t *testing.T) {
-	_, stream := newTestServer(t, Config{AdaptiveBatchWait: true})
-	_, twoPhase := newTestServer(t, Config{DisableStreaming: true})
+// TestMapRepeatArenaMetrics maps the same circuit three times and requires
+// identical answers, then checks the arena pool and peak-cut telemetry on
+// /metrics after the repeated same-graph requests.
+func TestMapRepeatArenaMetrics(t *testing.T) {
+	_, ts := newTestServer(t, Config{AdaptiveBatchWait: true})
 	body := map[string]any{
 		"circuit": rc16Text(t), "policy": "default",
 		"netlist": "blif", "verify": true,
@@ -746,9 +743,9 @@ func TestStreamingServerParity(t *testing.T) {
 
 	var first MapResponse
 	for i := 0; i < 3; i++ {
-		resp, data := postJSON(t, stream.URL+"/v1/map", body)
+		resp, data := postJSON(t, ts.URL+"/v1/map", body)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("streaming map %d: status %d (%s)", i, resp.StatusCode, data)
+			t.Fatalf("map %d: status %d (%s)", i, resp.StatusCode, data)
 		}
 		var got MapResponse
 		if err := json.Unmarshal(data, &got); err != nil {
@@ -759,34 +756,20 @@ func TestStreamingServerParity(t *testing.T) {
 			continue
 		}
 		if got.Area != first.Area || got.Delay != first.Delay || got.Netlist != first.Netlist {
-			t.Fatalf("streaming map %d diverged from its own first run", i)
+			t.Fatalf("map %d diverged from the first run", i)
 		}
 	}
 	if first.PeakCuts <= 0 {
-		t.Errorf("streaming PeakCuts = %d, want > 0", first.PeakCuts)
+		t.Errorf("PeakCuts = %d, want > 0", first.PeakCuts)
+	}
+	if first.PeakCuts >= first.CutsConsidered {
+		t.Errorf("streaming peak %d not below the %d cuts considered", first.PeakCuts, first.CutsConsidered)
 	}
 	if !first.Verified {
-		t.Error("streaming mapping did not verify")
+		t.Error("mapping did not verify")
 	}
 
-	resp, data := postJSON(t, twoPhase.URL+"/v1/map", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("two-phase map: status %d (%s)", resp.StatusCode, data)
-	}
-	var ref MapResponse
-	if err := json.Unmarshal(data, &ref); err != nil {
-		t.Fatal(err)
-	}
-	if first.Area != ref.Area || first.Delay != ref.Delay || first.Cells != ref.Cells ||
-		first.CutsConsidered != ref.CutsConsidered || first.MatchAttempts != ref.MatchAttempts ||
-		first.Netlist != ref.Netlist {
-		t.Errorf("streaming response diverged from two-phase: %+v vs %+v", first, ref)
-	}
-	if first.PeakCuts >= ref.PeakCuts {
-		t.Errorf("streaming peak %d not below two-phase total %d", first.PeakCuts, ref.PeakCuts)
-	}
-
-	respM, err := http.Get(stream.URL + "/metrics")
+	respM, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -809,38 +792,46 @@ func TestStreamingServerParity(t *testing.T) {
 	}
 }
 
-// TestStreamingLUTAndSlapParity covers the remaining policy x target routes:
-// the lut target and the ML slap policy must agree between the streaming and
-// two-phase servers too.
-func TestStreamingLUTAndSlapParity(t *testing.T) {
-	srvA, stream := newTestServer(t, Config{})
-	_, twoPhase := newTestServer(t, Config{DisableStreaming: true, Registry: srvA.Registry()})
-	for _, body := range []map[string]any{
-		{"circuit": rc16Text(t), "policy": "default", "target": "lut"},
-		{"circuit": rc16Text(t), "policy": "shuffle", "seed": 5, "workers": 2},
-		{"circuit": rc16Text(t), "policy": "slap", "model": "toy"},
-		{"circuit": rc16Text(t), "policy": "slap", "model": "toy", "target": "lut"},
-	} {
-		resp, data := postJSON(t, stream.URL+"/v1/map", body)
+// TestMapLUTVerify checks that verify=1 is honoured on the lut target: the
+// answer carries verified:true for both the vanilla and the ML policy.
+func TestMapLUTVerify(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, q := range []string{"policy=default", "policy=slap&model=toy"} {
+		resp, data := postRaw(t, ts.URL+"/v1/map?target=lut&verify=1&"+q, rc16Text(t))
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("streaming %v: status %d (%s)", body["policy"], resp.StatusCode, data)
+			t.Fatalf("%s: status %d (%s)", q, resp.StatusCode, data)
 		}
 		var got MapResponse
 		if err := json.Unmarshal(data, &got); err != nil {
 			t.Fatal(err)
 		}
-		resp, data = postJSON(t, twoPhase.URL+"/v1/map", body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("two-phase %v: status %d (%s)", body["policy"], resp.StatusCode, data)
+		if got.Target != "lut" || got.LUTs == 0 || !got.Verified {
+			t.Fatalf("%s: lut verify=1 answered %+v, want verified LUTs", q, got)
 		}
-		var ref MapResponse
-		if err := json.Unmarshal(data, &ref); err != nil {
+	}
+}
+
+// TestChoiceBuildsCountedWithoutViewCache checks that with the view cache
+// disabled every fresh choice build still reaches slap_choice_builds_total,
+// for the ML policy as for the vanilla one.
+func TestChoiceBuildsCountedWithoutViewCache(t *testing.T) {
+	_, ts := newTestServer(t, Config{ChoiceCacheBytes: -1})
+	builds := func() float64 {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Area != ref.Area || got.Delay != ref.Delay || got.LUTs != ref.LUTs ||
-			got.Depth != ref.Depth || got.CutsConsidered != ref.CutsConsidered {
-			t.Errorf("%v target=%v: streaming %+v diverged from two-phase %+v",
-				body["policy"], body["target"], got, ref)
+		defer resp.Body.Close()
+		text, _ := io.ReadAll(resp.Body)
+		return metricsGauge(t, string(text), "slap_choice_builds_total")
+	}
+	for i, q := range []string{"policy=slap&model=toy&choices=1", "policy=default&choices=1"} {
+		resp, data := postRaw(t, ts.URL+"/v1/map?"+q, rc16Text(t))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", q, resp.StatusCode, data)
+		}
+		if got := builds(); got != float64(i+1) {
+			t.Fatalf("after %s: slap_choice_builds_total = %v, want %d", q, got, i+1)
 		}
 	}
 }

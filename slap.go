@@ -15,13 +15,15 @@
 //	res, err := slap.Map(g, slap.MapOptions{Library: lib, Policy: slap.DefaultPolicy{}})
 //
 //	trained, report, err := slap.Train(slap.TrainOptions{Library: lib})
-//	res, err = trained.Map(g)            // ML-filtered mapping
+//	out, err := slap.Run(ctx, g, slap.Request{Policy: "slap", SLAP: trained})
+//	res = out.ASIC                       // ML-filtered mapping
 //
 // See the examples/ directory for complete programs and DESIGN.md for the
 // module map and the paper-reproduction notes.
 package slap
 
 import (
+	"context"
 	"io"
 
 	"slap/internal/aig"
@@ -70,6 +72,12 @@ type ShufflePolicy = cuts.ShufflePolicy
 // SLAP is a trained ML cut-filtering instance.
 type SLAP = core.SLAP
 
+// Request is one mapping job for Run: target, cut policy and knobs.
+type Request = core.Request
+
+// Outcome is Run's result and how it was served.
+type Outcome = core.Outcome
+
 // TrainOptions configures end-to-end SLAP training.
 type TrainOptions = core.TrainOptions
 
@@ -95,6 +103,9 @@ func ParseLibrary(name string, r io.Reader) (*Library, error) {
 
 // Map runs the technology-mapping flow on g.
 func Map(g *AIG, opt MapOptions) (*MapResult, error) { return mapper.Map(g, opt) }
+
+// Run maps g under any target and cut policy, the learned one included.
+func Run(ctx context.Context, g *AIG, req Request) (*Outcome, error) { return core.Run(ctx, g, req) }
 
 // Train generates training data, fits the SLAP classifier and returns the
 // trained instance plus an accuracy report.

@@ -2,6 +2,7 @@ package slap_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -109,11 +110,11 @@ func TestFacadeTrainAndPersist(t *testing.T) {
 	}
 	g.AddPO("f", acc)
 
-	res, err := s2.Map(g)
+	out, err := slap.Run(context.Background(), g, slap.Request{Policy: "slap", SLAP: s2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Netlist.EquivalentTo(g, 4, rand.New(rand.NewSource(6))); err != nil {
+	if err := out.ASIC.Netlist.EquivalentTo(g, 4, rand.New(rand.NewSource(6))); err != nil {
 		t.Fatal(err)
 	}
 }
