@@ -205,7 +205,9 @@ func BenchmarkCutEnumeration(b *testing.B) {
 
 // BenchmarkEndToEndSLAPMap measures the complete SLAP mapping flow on a
 // mid-size multiplier: the fused streaming pipeline with a pooled arena
-// reused across iterations.
+// reused across iterations, classifying through the shipped backend (an
+// infer.Engine over the model, one PredictBatch per node, as the slap CLI
+// runs it).
 func BenchmarkEndToEndSLAPMap(b *testing.B) {
 	tr := sharedTraining(b)
 	g := circuits.ArrayMultiplier(8)

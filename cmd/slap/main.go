@@ -41,7 +41,6 @@ import (
 	"slap/internal/choice"
 	"slap/internal/core"
 	"slap/internal/experiments"
-	"slap/internal/infer"
 	"slap/internal/library"
 	"slap/internal/mapcache"
 	"slap/internal/mapper"
@@ -60,8 +59,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "seed for the shuffle policy")
 		limit       = flag.Int("limit", 0, "per-node cut budget for default/shuffle policies (0 = 250)")
 		workers     = flag.Int("workers", 0, "cut-enumeration/inference workers (0 = all CPU cores, 1 = sequential)")
-		batch       = flag.Int("batch", 256, "batched-inference flush size for -policy slap (negative = per-sample inference)")
-		batchWait   = flag.Duration("batch-wait", time.Millisecond, "max wait for an inference batch to fill before flushing")
 		verify      = flag.Bool("verify", true, "check mapped netlist equivalence against the AIG")
 		listNames   = flag.Bool("list", false, "list built-in circuit names and exit")
 		showCells   = flag.Bool("cells", false, "print the cell-type histogram")
@@ -80,7 +77,7 @@ func main() {
 	if err := run(runConfig{
 		circuit: *circuitName, aag: *aagPath, baseline: *baseline, profile: *profileName,
 		policy: *policyName, model: *modelPath, lib: *libPath,
-		seed: *seed, limit: *limit, workers: *workers, batch: *batch, batchWait: *batchWait,
+		seed: *seed, limit: *limit, workers: *workers,
 		verify: *verify, list: *listNames,
 		cells: *showCells, verilog: *verilogOut, blif: *blifOut, report: *report,
 		rounds: *rounds, delayFactor: *delayFactor, choices: *choices,
@@ -96,8 +93,7 @@ func main() {
 type runConfig struct {
 	circuit, aag, baseline, profile, policy, model, lib string
 	seed                                                int64
-	limit, workers, batch                               int
-	batchWait                                           time.Duration
+	limit, workers                                      int
 	verify, list, cells, report                         bool
 	verilog, blif                                       string
 	rounds                                              int
@@ -151,18 +147,6 @@ func run(cfg runConfig) error {
 			return err
 		}
 		req.SLAP = core.New(model, lib)
-		if cfg.batch >= 0 {
-			// All mapping workers funnel through one coalescer, so a node's
-			// cuts merge with other nodes' into shared GEMM passes. The
-			// kernels keep per-sample accumulation order: QoR is identical
-			// to per-sample inference.
-			co := infer.NewCoalescer(infer.NewEngine(model, infer.Options{}), infer.CoalescerOptions{
-				MaxBatch: cfg.batch,
-				MaxWait:  cfg.batchWait,
-			})
-			defer co.Close()
-			req.SLAP.Batch = co
-		}
 	}
 
 	var out *core.Outcome

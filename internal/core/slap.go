@@ -30,6 +30,7 @@ import (
 	"slap/internal/cuts"
 	"slap/internal/dataset"
 	"slap/internal/embed"
+	"slap/internal/infer"
 	"slap/internal/library"
 	"slap/internal/nn"
 )
@@ -64,13 +65,13 @@ type SLAP struct {
 	// each node keeps, ranked by predicted quality. Zero or negative keeps
 	// them all (the paper's literal keep-all-good rule, the default).
 	MaxCutsPerNode int
-	// Batch, when set, routes inference through a batched backend: each
-	// worker submits a whole node's cut embeddings as one PredictBatch call
-	// instead of running the per-sample Model forward pass per cut. Both
-	// *infer.Engine and *infer.Coalescer satisfy it; nil keeps the
-	// per-sample path. The batched kernels accumulate in the per-sample
-	// order, so filtering decisions — and hence mapping QoR — are identical
-	// either way.
+	// Batch overrides the inference backend. Each mapping worker submits a
+	// whole node's cut embeddings as one PredictBatch call. Nil classifies
+	// through an infer.Engine over Model, built once per map call; callers
+	// that map many designs with one model (the server) set a shared
+	// *infer.Engine here. The engine accumulates in nn.Model's per-sample
+	// order, so filtering decisions — and hence mapping QoR — match
+	// Model.Predict bit for bit.
 	Batch Batcher
 	// Pool, when set, lets the mapping recycle cut-arena storage across
 	// runs of the same graph shape.
@@ -105,52 +106,32 @@ type SLAP struct {
 	Views *choice.Cache
 }
 
-// inferScratch is one worker's reusable embedding storage: a single-sample
-// buffer for the per-sample path and a growable slab for whole-node batch
-// submissions. CutInto overwrites every position and the model never
-// retains its input, so reuse across cuts and nodes is exact.
-type inferScratch struct {
-	x    []float64
-	slab []float64
-	xs   [][]float64
+// inferWorker is one mapping worker's inference state for a single map
+// call: the call's backend and a growable embedding slab reused across
+// nodes. CutInto overwrites every position and the backend never retains
+// its input, so reuse across nodes is exact.
+type inferWorker struct {
+	batch Batcher
+	slab  []float64
+	xs    [][]float64
 }
 
-func (sc *inferScratch) sample() []float64 {
-	if sc.x == nil {
-		sc.x = make([]float64, embed.Size)
+func (w *inferWorker) inputs(n int) ([]float64, [][]float64) {
+	if cap(w.slab) < n*embed.Size {
+		w.slab = make([]float64, n*embed.Size)
 	}
-	return sc.x
+	if cap(w.xs) < n {
+		w.xs = make([][]float64, n)
+	}
+	return w.slab[:n*embed.Size], w.xs[:n]
 }
 
-func (sc *inferScratch) batch(n int) ([]float64, [][]float64) {
-	if cap(sc.slab) < n*embed.Size {
-		sc.slab = make([]float64, n*embed.Size)
-	}
-	if cap(sc.xs) < n {
-		sc.xs = make([][]float64, n)
-	}
-	return sc.slab[:n*embed.Size], sc.xs[:n]
-}
-
-// Batcher classifies batches of cut embeddings. It is satisfied by
-// infer.Engine (direct batched kernels) and infer.Coalescer (cross-caller
-// micro-batching); core declares the interface locally so it does not
-// depend on internal/infer.
+// Batcher classifies batches of cut embeddings. *infer.Engine is the
+// shipped implementation.
 type Batcher interface {
 	// PredictBatch returns one probability vector per input, or an error
 	// (e.g. ctx done, backend closed) that fails the whole mapping call.
 	PredictBatch(ctx context.Context, xs [][]float64) ([][]float64, error)
-}
-
-// predictScore returns the model's continuous QoR score for a cut embedding
-// (lower is better): the paper's argmax class by default, or the
-// probability-weighted expected class, which doubles as the ranking
-// priority when MaxCutsPerNode is set.
-func (s *SLAP) predictScore(x []float64) float64 {
-	if !s.UseExpectedClass {
-		return float64(s.Model.PredictClass(x))
-	}
-	return scoreFromProbs(s.Model.Predict(x), true)
 }
 
 // argmaxClass mirrors nn.Model.PredictClass exactly (first-wins on ties) so
@@ -165,8 +146,10 @@ func argmaxClass(probs []float64) int {
 	return bi
 }
 
-// scoreFromProbs converts a probability vector to the QoR score, summing in
-// ascending class order like predictScore does.
+// scoreFromProbs converts a probability vector to the model's continuous QoR
+// score (lower is better): the paper's argmax class or, with expected set,
+// the probability-weighted expected class summed in ascending class order,
+// which doubles as the ranking priority when MaxCutsPerNode is set.
 func scoreFromProbs(probs []float64, expected bool) float64 {
 	if !expected {
 		return float64(argmaxClass(probs))
@@ -376,16 +359,16 @@ func (s *SLAP) filterCutsChoices(ctx context.Context, g *aig.AIG, ch cuts.Choice
 // and the ECO delta path (which hands it dirty nodes only). A non-nil
 // extras receives each node's recovery pool (see filterNode).
 func (s *SLAP) filterSubset(ctx context.Context, emb *embed.Embedder, nodes []uint32, sets, extras [][]cuts.Cut) error {
-	return s.filterNodes(ctx, emb, nodes, sets, sets, extras, newScratches(s.workers()))
+	return s.filterNodes(ctx, emb, nodes, sets, sets, extras, s.inferWorkers())
 }
 
-// filterNodes classifies the listed nodes across one worker per scratch,
+// filterNodes classifies the listed nodes across the inference workers,
 // writing each node's kept list to filtered[n] and, when extras is
 // non-nil, its recovery pool to extras[n].
-func (s *SLAP) filterNodes(ctx context.Context, emb *embed.Embedder, nodes []uint32, sets, filtered, extras [][]cuts.Cut, scratches []*inferScratch) error {
-	return strided(ctx, len(scratches), len(nodes), func(ctx context.Context, w, i int) error {
+func (s *SLAP) filterNodes(ctx context.Context, emb *embed.Embedder, nodes []uint32, sets, filtered, extras [][]cuts.Cut, workers []*inferWorker) error {
+	return strided(ctx, len(workers), len(nodes), func(ctx context.Context, w, i int) error {
 		n := nodes[i]
-		out, ex, err := s.filterNode(ctx, emb, n, sets[n], scratches[w])
+		out, ex, err := s.filterNode(ctx, emb, n, sets[n], workers[w])
 		if err != nil {
 			return err
 		}
@@ -405,12 +388,19 @@ func (s *SLAP) workers() int {
 	return s.Workers
 }
 
-func newScratches(workers int) []*inferScratch {
-	scratches := make([]*inferScratch, workers)
-	for i := range scratches {
-		scratches[i] = &inferScratch{}
+// inferWorkers resolves one map call's inference backend — s.Batch, or a
+// fresh infer.Engine over s.Model — and gives every worker its own
+// embedding slab over it.
+func (s *SLAP) inferWorkers() []*inferWorker {
+	b := s.Batch
+	if b == nil {
+		b = infer.NewEngine(s.Model, infer.Options{})
 	}
-	return scratches
+	ws := make([]*inferWorker, s.workers())
+	for i := range ws {
+		ws[i] = &inferWorker{batch: b}
+	}
+	return ws
 }
 
 // strided runs fn over the indices [0, n) on workers goroutines, worker w
@@ -470,46 +460,25 @@ func nonTrivialIdx(n uint32, cs []cuts.Cut) []int {
 	return idx
 }
 
-// batchProbs embeds the cuts selected by idx into the worker's reusable
-// slab and classifies them with a single PredictBatch submission, so the
-// batching backend sees a whole node's cuts at once. PredictBatch blocks
-// until the batch is computed and the backend keeps no reference to the
-// inputs afterwards, so the slab is free for the worker's next node.
-func (s *SLAP) batchProbs(ctx context.Context, emb *embed.Embedder, n uint32, cs []cuts.Cut, idx []int, sc *inferScratch) ([][]float64, error) {
-	slab, xs := sc.batch(len(idx))
+// nodeProbs returns the class probabilities of every non-trivial cut of n:
+// probs[k] belongs to cs[idx[k]]. It embeds those cuts into the worker's
+// slab and classifies them with a single PredictBatch submission.
+// PredictBatch blocks until the batch is computed and the backend keeps no
+// reference to the inputs afterwards, so the slab is free for the worker's
+// next node.
+func nodeProbs(ctx context.Context, emb *embed.Embedder, n uint32, cs []cuts.Cut, w *inferWorker) (idx []int, probs [][]float64, err error) {
+	idx = nonTrivialIdx(n, cs)
+	if len(idx) == 0 {
+		return idx, nil, nil
+	}
+	slab, xs := w.inputs(len(idx))
 	for k, i := range idx {
 		x := slab[k*embed.Size : (k+1)*embed.Size]
 		emb.CutInto(n, &cs[i], x)
 		xs[k] = x
 	}
-	return s.Batch.PredictBatch(ctx, xs)
-}
-
-// scoreCuts returns the QoR score of every non-trivial cut of n: scores[k]
-// belongs to cs[idx[k]]. With a Batcher set, the node's embeddings go out
-// as one batch; otherwise each cut runs the per-sample forward pass.
-func (s *SLAP) scoreCuts(ctx context.Context, emb *embed.Embedder, n uint32, cs []cuts.Cut, sc *inferScratch) (idx []int, scores []float64, err error) {
-	idx = nonTrivialIdx(n, cs)
-	if len(idx) == 0 {
-		return idx, nil, nil
-	}
-	scores = make([]float64, len(idx))
-	if s.Batch == nil {
-		x := sc.sample()
-		for k, i := range idx {
-			emb.CutInto(n, &cs[i], x)
-			scores[k] = s.predictScore(x)
-		}
-		return idx, scores, nil
-	}
-	probs, err := s.batchProbs(ctx, emb, n, cs, idx, sc)
-	if err != nil {
-		return nil, nil, err
-	}
-	for k, p := range probs {
-		scores[k] = scoreFromProbs(p, s.UseExpectedClass)
-	}
-	return idx, scores, nil
+	probs, err = w.batch.PredictBatch(ctx, xs)
+	return idx, probs, err
 }
 
 // filterNode applies the paper's keep decision to one node's cut list:
@@ -523,8 +492,8 @@ func (s *SLAP) scoreCuts(ctx context.Context, emb *embed.Embedder, n uint32, cs 
 // plus any MaxCutsPerNode overflow), score-ranked. Bad-class cuts never
 // enter either list, and the pool reuses the scores of the single inference
 // pass above — the per-round pruning adds no model evaluations.
-func (s *SLAP) filterNode(ctx context.Context, emb *embed.Embedder, n uint32, cs []cuts.Cut, sc *inferScratch) ([]cuts.Cut, []cuts.Cut, error) {
-	idx, scores, err := s.scoreCuts(ctx, emb, n, cs, sc)
+func (s *SLAP) filterNode(ctx context.Context, emb *embed.Embedder, n uint32, cs []cuts.Cut, w *inferWorker) ([]cuts.Cut, []cuts.Cut, error) {
+	idx, probs, err := nodeProbs(ctx, emb, n, cs, w)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -534,7 +503,7 @@ func (s *SLAP) filterNode(ctx context.Context, emb *embed.Embedder, n uint32, cs
 	}
 	var good, avg []scored
 	for k, i := range idx {
-		score := scores[k]
+		score := scoreFromProbs(probs[k], s.UseExpectedClass)
 		class := int(score + 0.5)
 		switch {
 		case class <= s.GoodMax:
@@ -631,9 +600,13 @@ func (s *SLAP) ClassifyContext(ctx context.Context, g *aig.AIG) (*Classification
 		}
 	}
 	perNode := make([][]int, len(nodes))
-	scratches := newScratches(s.workers())
-	err := strided(ctx, len(scratches), len(nodes), func(ctx context.Context, w, i int) error {
-		classes, err := s.classifyNode(ctx, emb, nodes[i], res.Sets[nodes[i]], scratches[w])
+	workers := s.inferWorkers()
+	err := strided(ctx, len(workers), len(nodes), func(ctx context.Context, w, i int) error {
+		_, probs, err := nodeProbs(ctx, emb, nodes[i], res.Sets[nodes[i]], workers[w])
+		classes := make([]int, len(probs))
+		for k, p := range probs {
+			classes[k] = argmaxClass(p)
+		}
 		perNode[i] = classes
 		return err
 	})
@@ -650,30 +623,4 @@ func (s *SLAP) ClassifyContext(ctx context.Context, g *aig.AIG) (*Classification
 		}
 	}
 	return out, nil
-}
-
-// classifyNode predicts the class of every non-trivial cut of n, via one
-// batched submission when a Batcher is set.
-func (s *SLAP) classifyNode(ctx context.Context, emb *embed.Embedder, n uint32, cs []cuts.Cut, sc *inferScratch) ([]int, error) {
-	idx := nonTrivialIdx(n, cs)
-	classes := make([]int, len(idx))
-	if len(idx) == 0 {
-		return classes, nil
-	}
-	if s.Batch == nil {
-		x := sc.sample()
-		for k, i := range idx {
-			emb.CutInto(n, &cs[i], x)
-			classes[k] = s.Model.PredictClass(x)
-		}
-		return classes, nil
-	}
-	probs, err := s.batchProbs(ctx, emb, n, cs, idx, sc)
-	if err != nil {
-		return nil, err
-	}
-	for k, p := range probs {
-		classes[k] = argmaxClass(p)
-	}
-	return classes, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -15,6 +16,7 @@ import (
 	"slap/internal/library"
 	"slap/internal/lutmap"
 	"slap/internal/mapper"
+	"slap/internal/nn"
 )
 
 // small is the scaled-down model every pipeline test shares: training is
@@ -261,16 +263,28 @@ func TestSLAPMapLUT(t *testing.T) {
 	}
 }
 
-// TestBatchedFilterMatchesPerSample pins the PR's headline guarantee: wiring
-// a batched inference backend (bare Engine or cross-goroutine Coalescer) into
-// SLAP changes throughput only — the surviving cut sets and the mapped QoR
-// are identical to per-sample Predict, because the GEMM kernels keep the
-// per-sample accumulation order.
+// predictBatcher is the per-sample oracle backend: every input goes
+// through nn.Model.Predict on its own.
+type predictBatcher struct{ m *nn.Model }
+
+func (p predictBatcher) PredictBatch(_ context.Context, xs [][]float64) ([][]float64, error) {
+	out := make([][]float64, len(xs))
+	for i, x := range xs {
+		out[i] = p.m.Predict(x)
+	}
+	return out, nil
+}
+
+// TestBatchedFilterMatchesPerSample pins the batching guarantee: the
+// default backend (an engine core builds per call), a shared Engine and the
+// cross-goroutine Coalescer change throughput only — the surviving cut sets
+// and the mapped QoR are identical to per-sample nn.Model.Predict, because
+// the GEMM kernels keep the per-sample accumulation order.
 func TestBatchedFilterMatchesPerSample(t *testing.T) {
 	s, _ := trainSmall(t)
 	g := circuits.TrainRC16()
 
-	s.Batch = nil
+	s.Batch = predictBatcher{s.Model}
 	perCuts := s.FilterCuts(g)
 	perRes, err := s.MapStream(g)
 	if err != nil {
@@ -284,6 +298,7 @@ func TestBatchedFilterMatchesPerSample(t *testing.T) {
 		name  string
 		batch Batcher
 	}{
+		{"default", nil},
 		{"engine", eng},
 		{"coalescer", co},
 	} {
@@ -305,9 +320,9 @@ func TestBatchedFilterMatchesPerSample(t *testing.T) {
 	// The expected-class scoring variant routes through the same batched
 	// probabilities and must agree with its per-sample counterpart too.
 	s.UseExpectedClass = true
-	s.Batch = nil
+	s.Batch = predictBatcher{s.Model}
 	expPer := s.FilterCuts(g)
-	s.Batch = eng
+	s.Batch = nil
 	expBat := s.FilterCuts(g)
 	if !reflect.DeepEqual(expPer.Sets, expBat.Sets) {
 		t.Fatalf("UseExpectedClass: batched filtering chose different cut sets")

@@ -1,11 +1,12 @@
 // Fused SLAP mapping: enumeration, ML cut filtering and Boolean matching
 // run as one streaming pipeline over the level wavefront. Each completed
-// level is classified in parallel by the inference workers (per-sample or
-// batched), the filtered lists feed the incremental mapper on the spot,
-// and the enumerator retires the level's cut storage — so the full cut
-// universe is never materialised. Filtering decisions are per-node
-// deterministic, so the fused result is byte-identical to FilterCuts
-// followed by mapper.Map over the filtered sets.
+// level is classified in parallel by the inference workers (one batch per
+// node through one shared backend), the filtered lists feed the
+// incremental mapper on the spot, and the enumerator retires the level's
+// cut storage — so the full cut universe is never materialised. Filtering
+// decisions are per-node deterministic, so the fused result is
+// byte-identical to FilterCuts followed by mapper.Map over the filtered
+// sets.
 package core
 
 import (
@@ -89,7 +90,7 @@ func (s *SLAP) streamFiltered(ctx context.Context, g *aig.AIG, ch cuts.ChoiceSou
 	emb := embed.NewEmbedder(g)
 	emb.PrecomputeAll()
 
-	scratches := newScratches(s.workers())
+	workers := s.inferWorkers()
 	filtered := make([][]cuts.Cut, g.NumNodes())
 	var extras [][]cuts.Cut
 	if s.Rounds > 1 {
@@ -110,7 +111,7 @@ func (s *SLAP) streamFiltered(ctx context.Context, g *aig.AIG, ch cuts.ChoiceSou
 	enum := &cuts.Enumerator{G: g, Policy: cuts.UnlimitedPolicy{}, MergeCap: s.MergeCap, Workers: s.Workers, Arena: arena, Choices: ch}
 
 	sink := func(_ int32, nodes []uint32, sets [][]cuts.Cut) error {
-		if err := s.filterNodes(ctx, emb, nodes, sets, filtered, extras, scratches); err != nil {
+		if err := s.filterNodes(ctx, emb, nodes, sets, filtered, extras, workers); err != nil {
 			return err
 		}
 		// The filtered lists hold durable leaves only after the consumer

@@ -42,10 +42,10 @@ func requireSameStreamResult(t *testing.T, name string, want, got *mapper.Result
 	}
 }
 
-// TestMapStreamMatchesMapContext pins the fused SLAP pipeline to the
-// two-phase oracle: identical netlist bytes, metrics and counters, for both
-// the per-sample and batched inference backends, across worker counts and
-// arena pooling.
+// TestMapStreamMatchesMapContext pins the fused SLAP pipeline on its
+// default inference engine to the two-phase oracle over per-sample
+// nn.Model.Predict: identical netlist bytes, metrics and counters, across
+// worker counts and arena pooling.
 func TestMapStreamMatchesMapContext(t *testing.T) {
 	graphs := []*circuitCase{
 		{"rc16", circuits.TrainRC16()},
@@ -54,6 +54,7 @@ func TestMapStreamMatchesMapContext(t *testing.T) {
 	}
 	for _, gc := range graphs {
 		s := untrained(3)
+		s.Batch = predictBatcher{s.Model}
 		want := oracleSLAP(t, s, gc.g)
 		pool := cuts.NewPool(2)
 		for _, workers := range []int{1, 2, 4} {
@@ -79,21 +80,30 @@ type circuitCase struct {
 }
 
 // TestMapStreamBatchedBackend drives the fused pipeline through the
-// batched inference engine and the coalescer — the per-level Batch hook —
-// and requires byte-identity with the per-sample fused run.
+// default per-call engine, a shared engine and the coalescer — the Batch
+// hook — and requires byte-identity with the per-sample fused run.
 func TestMapStreamBatchedBackend(t *testing.T) {
 	g := circuits.BoothMultiplier(6)
 	s := untrained(7)
+	s.Batch = predictBatcher{s.Model}
 	want, err := s.MapStream(g)
 	if err != nil {
 		t.Fatalf("per-sample MapStream: %v", err)
 	}
 
+	sDef := untrained(7)
+	sDef.Workers = 2
+	got, err := sDef.MapStream(g)
+	if err != nil {
+		t.Fatalf("default MapStream: %v", err)
+	}
+	requireSameStreamResult(t, "default", want, got)
+
 	eng := infer.NewEngine(s.Model, infer.Options{})
 	sEng := untrained(7)
 	sEng.Batch = eng
 	sEng.Workers = 2
-	got, err := sEng.MapStream(g)
+	got, err = sEng.MapStream(g)
 	if err != nil {
 		t.Fatalf("engine MapStream: %v", err)
 	}

@@ -3,74 +3,33 @@ package infer
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 )
-
-// FlushReason labels why a batch was flushed to the backend.
-type FlushReason string
-
-// Flush reasons: the batch filled up, the oldest request hit the deadline,
-// or the coalescer drained on Close.
-const (
-	FlushSize     FlushReason = "size"
-	FlushDeadline FlushReason = "deadline"
-	FlushDrain    FlushReason = "drain"
-)
-
-// FlushStats describes one flushed batch for observability hooks.
-type FlushStats struct {
-	// Size is the number of samples in the flushed batch.
-	Size int
-	// Reason is why the flush happened.
-	Reason FlushReason
-	// QueueWait is how long the oldest sample in the batch waited between
-	// submission and flush.
-	QueueWait time.Duration
-}
-
-// Collector receives flush statistics; the server's Metrics implements it
-// to export the batch-size histogram and queue-wait gauges.
-type Collector interface {
-	ObserveFlush(FlushStats)
-}
 
 // CoalescerOptions configures a Coalescer.
 type CoalescerOptions struct {
 	// MaxBatch flushes a batch as soon as this many samples are pending
-	// (0 = DefaultMaxBatch). Oversized submissions are split across
-	// flushes.
+	// (0 = 64). Oversized submissions are split across flushes.
 	MaxBatch int
 	// MaxWait flushes whatever is pending once the oldest submission has
-	// waited this long (0 = DefaultMaxWait). This bounds the latency a
-	// lone request pays for batching.
+	// waited this long (0 = 1ms). This bounds the latency a lone request
+	// pays for batching.
 	MaxWait time.Duration
-	// QueueCap bounds the submission queue (0 = DefaultQueueCap); beyond
-	// it, submitters block — the backpressure that keeps a burst from
-	// buffering unboundedly ahead of the backend.
-	QueueCap int
-	// AdaptiveWait derives the flush deadline from an EWMA of the observed
-	// inter-arrival time instead of always waiting the full MaxWait: the
-	// deadline becomes the expected time for the batch to fill, clamped to
-	// MaxWait. Under fast traffic a lone straggler flushes almost
-	// immediately; under slow traffic the behaviour degrades to the fixed
-	// MaxWait deadline.
-	AdaptiveWait bool
-	// Collector, when set, observes every flush.
-	Collector Collector
 }
 
-// Coalescer defaults.
+// Coalescer defaults. Submitters block once queueCap submissions are
+// waiting for the dispatcher.
 const (
-	DefaultMaxBatch = 64
-	DefaultMaxWait  = time.Millisecond
-	DefaultQueueCap = 256
+	defaultMaxBatch = 64
+	defaultMaxWait  = time.Millisecond
+	queueCap        = 256
 )
 
-// Coalescer merges Predict/PredictBatch calls from many goroutines into
-// batches for a Backend, flushing on size or deadline. One dispatcher
-// goroutine owns all batching state, so the only synchronisation points are
-// the submission channel and each request's done channel.
+// Coalescer merges PredictBatch calls from many goroutines into batches for
+// a Backend, flushing on size or deadline. One dispatcher goroutine owns all
+// batching state, so the only synchronisation points are the submission
+// channel and each request's done channel. No shipped flow uses it (see the
+// package comment).
 type Coalescer struct {
 	backend Backend
 	opt     CoalescerOptions
@@ -78,10 +37,6 @@ type Coalescer struct {
 	submit chan *batchReq
 	quit   chan struct{} // closed by Close: stop accepting
 	done   chan struct{} // closed when the dispatcher has drained and exited
-
-	// curWait is the deadline the dispatcher armed most recently, for
-	// observability (/metrics). With AdaptiveWait off it stays at MaxWait.
-	curWait atomic.Int64
 
 	closeOnce sync.Once
 }
@@ -96,38 +51,26 @@ type batchReq struct {
 	served int
 	err    error
 	done   chan struct{}
-	enq    time.Time
 }
 
 // NewCoalescer starts a coalescer over backend. Call Close to stop its
 // dispatcher and drain pending work.
 func NewCoalescer(backend Backend, opt CoalescerOptions) *Coalescer {
 	if opt.MaxBatch <= 0 {
-		opt.MaxBatch = DefaultMaxBatch
+		opt.MaxBatch = defaultMaxBatch
 	}
 	if opt.MaxWait <= 0 {
-		opt.MaxWait = DefaultMaxWait
-	}
-	if opt.QueueCap <= 0 {
-		opt.QueueCap = DefaultQueueCap
+		opt.MaxWait = defaultMaxWait
 	}
 	c := &Coalescer{
 		backend: backend,
 		opt:     opt,
-		submit:  make(chan *batchReq, opt.QueueCap),
+		submit:  make(chan *batchReq, queueCap),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	c.curWait.Store(int64(opt.MaxWait))
 	go c.dispatch()
 	return c
-}
-
-// CurrentWait reports the flush deadline most recently armed by the
-// dispatcher. Without AdaptiveWait it is always the configured MaxWait; with
-// it, the value tracks the EWMA-derived expected batch fill time.
-func (c *Coalescer) CurrentWait() time.Duration {
-	return time.Duration(c.curWait.Load())
 }
 
 // Close stops accepting submissions, flushes everything already queued, and
@@ -135,15 +78,6 @@ func (c *Coalescer) CurrentWait() time.Duration {
 func (c *Coalescer) Close() {
 	c.closeOnce.Do(func() { close(c.quit) })
 	<-c.done
-}
-
-// Predict classifies one input through the shared batch stream.
-func (c *Coalescer) Predict(ctx context.Context, x []float64) ([]float64, error) {
-	out, err := c.PredictBatch(ctx, [][]float64{x})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
 }
 
 // PredictBatch submits xs as one unit — a mapping worker hands over a whole
@@ -159,7 +93,6 @@ func (c *Coalescer) PredictBatch(ctx context.Context, xs [][]float64) ([][]float
 		xs:   xs,
 		out:  make([][]float64, len(xs)),
 		done: make(chan struct{}),
-		enq:  time.Now(),
 	}
 	select {
 	case c.submit <- req:
@@ -213,44 +146,7 @@ func (c *Coalescer) dispatch() {
 	defer timer.Stop()
 	armed := false
 
-	// Adaptive-wait state, dispatcher-local: an EWMA (alpha = 1/5) of the
-	// inter-arrival time between admitted submissions, seeded by the first
-	// observed gap. The deadline for a freshly non-empty queue is the
-	// expected time for the remaining batch slots to fill at that rate,
-	// clamped to MaxWait — fast traffic flushes stragglers in microseconds
-	// instead of parking them for the full fixed deadline.
-	var (
-		ewma     time.Duration
-		haveRate bool
-		lastEnq  time.Time
-		deadline time.Time // absolute flush deadline, valid while armed
-	)
-	nextWait := func() time.Duration {
-		wait := c.opt.MaxWait
-		if c.opt.AdaptiveWait && haveRate {
-			if fill := ewma * time.Duration(c.opt.MaxBatch-samples); fill < wait {
-				wait = fill
-			}
-		}
-		c.curWait.Store(int64(wait))
-		return wait
-	}
-
 	admit := func(req *batchReq) {
-		if c.opt.AdaptiveWait {
-			if !lastEnq.IsZero() {
-				d := req.enq.Sub(lastEnq)
-				if d < 0 {
-					d = 0
-				}
-				if !haveRate {
-					ewma, haveRate = d, true
-				} else {
-					ewma = (d + 4*ewma) / 5
-				}
-			}
-			lastEnq = req.enq
-		}
 		if err := req.ctx.Err(); err != nil {
 			req.err = err
 			close(req.done)
@@ -258,23 +154,12 @@ func (c *Coalescer) dispatch() {
 		}
 		pending = append(pending, pendingReq{req: req})
 		samples += len(req.xs)
-		wait := nextWait()
 		if !armed {
-			timer.Reset(wait)
+			timer.Reset(c.opt.MaxWait)
 			armed = true
-			deadline = req.enq.Add(wait)
-		} else if c.opt.AdaptiveWait {
-			// Size flushes leave the timer armed at a deadline computed
-			// for an earlier era of traffic; if the rate now says the
-			// batch should flush sooner, tighten it so a straggler never
-			// pays a stale (possibly full-MaxWait) wait.
-			if d := req.enq.Add(wait); d.Before(deadline) {
-				timer.Reset(wait)
-				deadline = d
-			}
 		}
 		for samples >= c.opt.MaxBatch {
-			c.flush(&pending, &samples, c.opt.MaxBatch, FlushSize)
+			c.flush(&pending, &samples, c.opt.MaxBatch)
 		}
 	}
 
@@ -289,7 +174,7 @@ func (c *Coalescer) dispatch() {
 		case <-timerC:
 			armed = false
 			if samples > 0 {
-				c.flush(&pending, &samples, samples, FlushDeadline)
+				c.flush(&pending, &samples, samples)
 			}
 		case <-c.quit:
 			// Serve whatever snuck into the buffered queue before Close,
@@ -305,7 +190,7 @@ func (c *Coalescer) dispatch() {
 				break
 			}
 			for samples > 0 {
-				c.flush(&pending, &samples, min(samples, c.opt.MaxBatch), FlushDrain)
+				c.flush(&pending, &samples, min(samples, c.opt.MaxBatch))
 			}
 			return
 		}
@@ -316,7 +201,7 @@ func (c *Coalescer) dispatch() {
 // and distributes the results. Requests whose context died while queued are
 // dropped without spending backend time on them — the mid-batch
 // cancellation path.
-func (c *Coalescer) flush(pending *[]pendingReq, samples *int, take int, reason FlushReason) {
+func (c *Coalescer) flush(pending *[]pendingReq, samples *int, take int) {
 	type span struct {
 		req  *batchReq
 		off  int
@@ -324,9 +209,8 @@ func (c *Coalescer) flush(pending *[]pendingReq, samples *int, take int, reason 
 		base int // offset of the span inside the flushed batch
 	}
 	var (
-		xs     [][]float64
-		spans  []span
-		oldest time.Time
+		xs    [][]float64
+		spans []span
 	)
 	q := *pending
 	for take > 0 && len(q) > 0 {
@@ -342,9 +226,6 @@ func (c *Coalescer) flush(pending *[]pendingReq, samples *int, take int, reason 
 		n := len(p.req.xs) - p.off
 		if n > take {
 			n = take
-		}
-		if oldest.IsZero() || p.req.enq.Before(oldest) {
-			oldest = p.req.enq
 		}
 		spans = append(spans, span{req: p.req, off: p.off, n: n, base: len(xs)})
 		xs = append(xs, p.req.xs[p.off:p.off+n]...)
@@ -363,14 +244,7 @@ func (c *Coalescer) flush(pending *[]pendingReq, samples *int, take int, reason 
 		return
 	}
 
-	wait := time.Duration(0)
-	if !oldest.IsZero() {
-		wait = time.Since(oldest)
-	}
 	out, err := c.backend.ForwardBatch(xs)
-	if c.opt.Collector != nil {
-		c.opt.Collector.ObserveFlush(FlushStats{Size: len(xs), Reason: reason, QueueWait: wait})
-	}
 	if err != nil {
 		for _, sp := range spans {
 			sp.req.err = err

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,24 +39,6 @@ func (c *countingBackend) sizes() []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]int(nil), c.batches...)
-}
-
-// statsCollector records flush stats for assertions.
-type statsCollector struct {
-	mu    sync.Mutex
-	stats []FlushStats
-}
-
-func (s *statsCollector) ObserveFlush(fs FlushStats) {
-	s.mu.Lock()
-	s.stats = append(s.stats, fs)
-	s.mu.Unlock()
-}
-
-func (s *statsCollector) all() []FlushStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]FlushStats(nil), s.stats...)
 }
 
 func newTestCoalescer(t *testing.T, opt CoalescerOptions) (*Coalescer, *countingBackend, Reference) {
@@ -108,42 +91,32 @@ func TestCoalescerMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCoalescerFlushReasons checks the size and deadline triggers and that
-// the Collector sees them labelled correctly.
+// TestCoalescerFlushReasons checks the size and deadline triggers: an
+// oversized submission goes out in MaxBatch-sized flushes without waiting
+// on the deadline, and a lone under-sized one goes out on the deadline.
 func TestCoalescerFlushReasons(t *testing.T) {
-	col := &statsCollector{}
-	c, cb, ref := newTestCoalescer(t, CoalescerOptions{MaxBatch: 8, MaxWait: time.Hour, Collector: col})
+	c, cb, ref := newTestCoalescer(t, CoalescerOptions{MaxBatch: 8, MaxWait: time.Hour})
 
 	// 16 samples in one submission: two size-triggered flushes, no waiting
 	// on the one-hour deadline.
 	if _, err := c.PredictBatch(context.Background(), randomBatch(ref.M, 16, 1)); err != nil {
 		t.Fatal(err)
 	}
-	for _, fs := range col.all() {
-		if fs.Reason != FlushSize || fs.Size != 8 {
-			t.Fatalf("flush %+v, want size-triggered batches of 8", fs)
-		}
-	}
-	if got := cb.sizes(); len(got) != 2 {
-		t.Fatalf("backend saw %v, want two batches", got)
+	if got := cb.sizes(); !reflect.DeepEqual(got, []int{8, 8}) {
+		t.Fatalf("backend saw %v, want two batches of 8", got)
 	}
 
 	// A lone under-sized submission must go out on the deadline.
-	col2 := &statsCollector{}
-	c2, _, _ := newTestCoalescer(t, CoalescerOptions{MaxBatch: 64, MaxWait: time.Millisecond, Collector: col2})
+	c2, cb2, _ := newTestCoalescer(t, CoalescerOptions{MaxBatch: 64, MaxWait: time.Millisecond})
 	t0 := time.Now()
-	if _, err := c2.Predict(context.Background(), randomBatch(ref.M, 1, 2)[0]); err != nil {
+	if _, err := c2.PredictBatch(context.Background(), randomBatch(ref.M, 1, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if waited := time.Since(t0); waited > time.Second {
 		t.Fatalf("lone sample waited %v, deadline flush broken", waited)
 	}
-	stats := col2.all()
-	if len(stats) != 1 || stats[0].Reason != FlushDeadline || stats[0].Size != 1 {
-		t.Fatalf("stats %+v, want one deadline flush of 1", stats)
-	}
-	if stats[0].QueueWait <= 0 {
-		t.Fatalf("deadline flush reported no queue wait")
+	if got := cb2.sizes(); !reflect.DeepEqual(got, []int{1}) {
+		t.Fatalf("backend saw %v, want one deadline flush of 1", got)
 	}
 }
 
@@ -152,7 +125,7 @@ func TestCoalescerFlushReasons(t *testing.T) {
 func TestCoalescerStress(t *testing.T) {
 	m := randomModel(5, 4, 8, 6, 78)
 	cb := &countingBackend{inner: NewEngine(m, Options{})}
-	c := NewCoalescer(cb, CoalescerOptions{MaxBatch: 8, MaxWait: 100 * time.Microsecond, QueueCap: 16})
+	c := NewCoalescer(cb, CoalescerOptions{MaxBatch: 8, MaxWait: 100 * time.Microsecond})
 
 	const producers = 12
 	var wg sync.WaitGroup
@@ -226,9 +199,6 @@ func TestCoalescerClose(t *testing.T) {
 	if _, err := c.PredictBatch(context.Background(), randomBatch(m, 2, 5)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after Close: err = %v, want ErrClosed", err)
 	}
-	if _, err := c.Predict(context.Background(), randomBatch(m, 1, 6)[0]); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Predict after Close: err = %v, want ErrClosed", err)
-	}
 }
 
 // TestCoalescerDrainOnClose submits with a one-hour deadline, closes, and
@@ -238,8 +208,8 @@ func TestCoalescerClose(t *testing.T) {
 func TestCoalescerDrainOnClose(t *testing.T) {
 	m := randomModel(5, 4, 8, 6, 80)
 	for attempt := 0; attempt < 50; attempt++ {
-		col := &statsCollector{}
-		c := NewCoalescer(NewEngine(m, Options{}), CoalescerOptions{MaxBatch: 64, MaxWait: time.Hour, Collector: col})
+		cb := &countingBackend{inner: NewEngine(m, Options{})}
+		c := NewCoalescer(cb, CoalescerOptions{MaxBatch: 64, MaxWait: time.Hour})
 		done := make(chan error, 1)
 		go func() {
 			_, err := c.PredictBatch(context.Background(), randomBatch(m, 3, 7))
@@ -254,54 +224,10 @@ func TestCoalescerDrainOnClose(t *testing.T) {
 		if err != nil {
 			t.Fatalf("drained request failed: %v", err)
 		}
-		stats := col.all()
-		if len(stats) != 1 || stats[0].Reason != FlushDrain {
-			t.Fatalf("stats %+v, want one drain flush", stats)
+		if got := cb.sizes(); !reflect.DeepEqual(got, []int{3}) {
+			t.Fatalf("backend saw %v, want one drain flush of 3", got)
 		}
 		return
 	}
 	t.Fatal("never observed a drain flush in 50 attempts")
-}
-
-// TestCoalescerAdaptiveWait checks that under fast concurrent traffic the
-// EWMA-derived deadline drops far below the configured MaxWait (here an
-// hour, so any deadline-dependent straggler would hang without adaptation),
-// while every caller still receives its own correct results.
-func TestCoalescerAdaptiveWait(t *testing.T) {
-	c, _, ref := newTestCoalescer(t, CoalescerOptions{MaxBatch: 4, MaxWait: time.Hour, AdaptiveWait: true})
-	if got := c.CurrentWait(); got != time.Hour {
-		t.Fatalf("initial CurrentWait = %v, want the configured MaxWait", got)
-	}
-	const producers = 4
-	var wg sync.WaitGroup
-	errs := make(chan error, producers)
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			xs := randomBatch(ref.M, 12, int64(500+p))
-			for i, x := range xs {
-				got, err := c.Predict(context.Background(), x)
-				if err != nil {
-					errs <- err
-					return
-				}
-				want := ref.M.Predict(x)
-				for cl := range want {
-					if got[cl] != want[cl] {
-						errs <- fmt.Errorf("producer %d sample %d: wrong result", p, i)
-						return
-					}
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if got := c.CurrentWait(); got >= time.Hour {
-		t.Fatalf("CurrentWait = %v after fast traffic, want below the configured MaxWait", got)
-	}
 }

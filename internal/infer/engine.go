@@ -14,20 +14,28 @@ type Options struct {
 	// Workers parallelises the GEMM tile loops across goroutines (0 or 1 =
 	// single-threaded). Tiles write disjoint output ranges and each output
 	// element keeps its sequential accumulation order, so results are
-	// identical for any worker count. Parallel tiles only engage at batch
-	// sizes where the fan-out pays for itself.
+	// identical for any worker count. Parallel tiles only engage in passes
+	// large enough for the fan-out to pay for itself.
 	Workers int
 }
 
-// minParallelBatch is the batch size below which the tile loops stay
+// passSize is the most samples one internal forward pass carries. A node
+// can carry hundreds of cuts; running them in bounded passes over one
+// pooled scratch keeps that scratch at passSize samples (~1.4 MB for the
+// paper's 128-filter model) instead of ~22 KB times the largest batch ever
+// seen. Per-node batches already fill the GEMM tiles at this size.
+const passSize = 64
+
+// minParallelBatch is the pass size below which the tile loops stay
 // sequential even with Workers > 1: a goroutine hand-off costs more than a
-// small batch's whole GEMM.
+// small pass's whole GEMM.
 const minParallelBatch = 64
 
 // Engine runs the cut classifier as blocked, cache-tiled GEMMs over a batch
 // of embeddings. It reads the model weights only (never mutates them), so
 // one Engine may be shared across goroutines; scratch matrices are pooled
-// per call. See the package comment for the matrix layout.
+// per call and sized for one pass. See the package comment for the matrix
+// layout.
 type Engine struct {
 	m       *nn.Model
 	workers int
@@ -39,8 +47,8 @@ type Engine struct {
 	denseWT []float64
 }
 
-// scratch holds the per-call working matrices, pooled across ForwardBatch
-// calls and grown to the largest batch seen.
+// scratch holds one pass's working matrices, pooled across ForwardBatch
+// calls and never larger than passSize samples.
 type scratch struct {
 	xn     []float64 // Rows × (Cols·B): normalised inputs; column b·Cols+j
 	conv   []float64 // Filters × (Cols·B): post-ReLU conv activations
@@ -75,8 +83,8 @@ func (e *Engine) Classes() int { return e.m.Classes }
 func (e *Engine) InputLen() int { return e.m.Rows * e.m.Cols }
 
 // PredictBatch runs the whole slice as one batch, checking ctx once up
-// front. It satisfies core.SLAP's Batcher hook for callers that want
-// batching without cross-goroutine coalescing.
+// front. It is core.SLAP's inference backend: each mapping worker hands
+// over one node's cut embeddings per call.
 func (e *Engine) PredictBatch(ctx context.Context, xs [][]float64) ([][]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -85,8 +93,10 @@ func (e *Engine) PredictBatch(ctx context.Context, xs [][]float64) ([][]float64,
 }
 
 // ForwardBatch implements Backend: probabilities for every input, computed
-// as three blocked matrix stages (pack+normalise, conv GEMM, dense GEMM +
-// softmax) with a repack between the two GEMMs.
+// in passes of at most passSize samples over one pooled scratch. Each pass
+// runs three blocked matrix stages (pack+normalise, conv GEMM, dense GEMM +
+// softmax) with a repack between the two GEMMs and writes its rows of one
+// shared output slab.
 func (e *Engine) ForwardBatch(xs [][]float64) ([][]float64, error) {
 	m := e.m
 	bsz := len(xs)
@@ -99,10 +109,8 @@ func (e *Engine) ForwardBatch(xs [][]float64) ([][]float64, error) {
 			return nil, fmt.Errorf("infer: input %d has length %d, want %d", i, len(x), in)
 		}
 	}
-	cb := m.Cols * bsz
-	flat := m.Filters * m.Cols
 
-	sc := e.getScratch(bsz)
+	sc := e.getScratch(min(bsz, passSize))
 	defer e.scratch.Put(sc)
 
 	// The output slab is handed to callers and so cannot be pooled.
@@ -111,7 +119,19 @@ func (e *Engine) ForwardBatch(xs [][]float64) ([][]float64, error) {
 	for b := range out {
 		out[b] = slab[b*m.Classes : (b+1)*m.Classes]
 	}
+	for lo := 0; lo < bsz; lo += passSize {
+		hi := min(lo+passSize, bsz)
+		e.forward(xs[lo:hi], out[lo:hi], sc)
+	}
+	return out, nil
+}
 
+// forward runs one pass of at most passSize samples through sc.
+func (e *Engine) forward(xs, out [][]float64, sc *scratch) {
+	m := e.m
+	bsz := len(xs)
+	cb := m.Cols * bsz
+	flat := m.Filters * m.Cols
 	workers := e.workers
 	if bsz < minParallelBatch {
 		workers = 1
@@ -125,7 +145,6 @@ func (e *Engine) ForwardBatch(xs [][]float64) ([][]float64, error) {
 			softmax(sc.logits[b*m.Classes:(b+1)*m.Classes], out[b])
 		}
 	})
-	return out, nil
 }
 
 func (e *Engine) getScratch(bsz int) *scratch {

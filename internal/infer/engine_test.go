@@ -115,6 +115,35 @@ func TestEngineBitIdentical(t *testing.T) {
 	}
 }
 
+// TestEnginePassesMatchReference runs a batch that spans three full passes
+// and a partial one through the shared scratch and output slab: every
+// sample must be bit-equal to the per-sample Reference.
+func TestEnginePassesMatchReference(t *testing.T) {
+	m := randomModel(15, 10, 32, 10, 47)
+	xs := randomBatch(m, 3*passSize+5, 48)
+	want, err := Reference{M: m}.ForwardBatch(xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		got, err := NewEngine(m, Options{Workers: workers}).ForwardBatch(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(xs) {
+			t.Fatalf("workers=%d: %d outputs for %d inputs", workers, len(got), len(xs))
+		}
+		for i := range xs {
+			for c := range want[i] {
+				if got[i][c] != want[i][c] {
+					t.Fatalf("workers=%d sample %d (pass %d) class %d: %x, reference %x", workers, i, i/passSize, c,
+						math.Float64bits(got[i][c]), math.Float64bits(want[i][c]))
+				}
+			}
+		}
+	}
+}
+
 func TestEngineValidatesInput(t *testing.T) {
 	m := randomModel(15, 10, 8, 10, 45)
 	eng := NewEngine(m, Options{})

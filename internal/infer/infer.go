@@ -1,9 +1,11 @@
 // Package infer is the batched inference engine of the SLAP flow: where
 // internal/nn runs one 15×10 cut embedding at a time through triple-nested
 // loops, this package packs B embeddings into matrices and runs the whole
-// classifier — conv → ReLU → dense → softmax — as blocked GEMMs (Engine),
-// and coalesces Predict calls from many goroutines into shared forward
-// passes flushed on size or deadline (Coalescer).
+// classifier — conv → ReLU → dense → softmax — as blocked GEMMs (Engine).
+// Every shipped mapping flow calls one shared Engine directly, with one
+// PredictBatch per node; the Engine runs a batch in internal passes of at
+// most 64 samples, so its pooled scratch stays bounded however many cuts a
+// node carries.
 //
 // The conv layer's 15×1 filters span all input rows, so the convolution over
 // a batch is a single 128×15 by 15×(10·B) matmul; the dense layer is a
@@ -12,6 +14,10 @@
 // then ascending k), so batched probabilities match the per-sample path to
 // the last bit on every platform with consistent FP contraction — the
 // golden-equivalence suite pins this against the Reference backend.
+//
+// Coalescer merges PredictBatch calls from many goroutines into shared
+// forward passes flushed on size or deadline. No shipped flow uses it: it
+// is kept only for the benchmark's replay of the SLAP map (perfbench).
 package infer
 
 import (
@@ -28,9 +34,8 @@ var ErrClosed = errors.New("infer: coalescer closed")
 // production implementation; Reference delegates to the per-sample model
 // forward pass and exists to prove batched backends equivalent.
 //
-// Backends must be safe for concurrent ForwardBatch calls: the Coalescer
-// serialises its own flushes, but nothing stops several coalescers or
-// direct callers from sharing one backend.
+// Backends must be safe for concurrent ForwardBatch calls: every mapping
+// worker of every request shares one Engine.
 type Backend interface {
 	// Classes returns the output probability-vector length.
 	Classes() int

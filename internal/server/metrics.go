@@ -10,7 +10,6 @@ import (
 
 	"slap/internal/choice"
 	"slap/internal/cuts"
-	"slap/internal/infer"
 	"slap/internal/mapcache"
 )
 
@@ -20,17 +19,6 @@ import (
 var latencyBuckets = []float64{
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
 	0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
-}
-
-// batchSizeBuckets are the upper bounds of the inference batch-size
-// histogram; the top bucket sits above any realistic MaxBatch.
-var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
-
-// queueWaitBuckets are the upper bounds (seconds) of the coalescer
-// queue-wait histogram, spanning sub-deadline waits to stalled backends.
-var queueWaitBuckets = []float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
-	0.01, 0.025, 0.05, 0.1, 0.5,
 }
 
 // dirtyFractionBuckets are the upper bounds of the ECO dirty-cone-fraction
@@ -63,13 +51,6 @@ type Metrics struct {
 	cutsTotal    int64
 	mapsTotal    int64
 	panicsTotal  int64
-	// Inference coalescer telemetry (Metrics implements infer.Collector).
-	batchBuckets   []int64
-	batchSum       int64
-	batchCount     int64
-	waitBuckets    []int64
-	waitSum        float64
-	flushesByCause map[infer.FlushReason]int64
 	// peakCutsMax is the largest simultaneously-live cut count any single
 	// mapping reported — the streaming pipeline's working-set high-water
 	// mark (two-phase mappings report their total, so the gauge also shows
@@ -108,39 +89,19 @@ type Metrics struct {
 	// choiceCacheStats reports the choice view cache counters (nil = no
 	// view cache configured).
 	choiceCacheStats func() choice.CacheStats
-	// batchWait reports the current coalescer flush deadline in seconds
-	// (nil = no batching).
-	batchWait func() float64
 }
 
 // NewMetrics returns a Metrics bound to the scheduler's gauges.
 func NewMetrics(sched *Scheduler) *Metrics {
 	return &Metrics{
-		start:          time.Now(),
-		sched:          sched,
-		requests:       make(map[string]map[int]int64),
-		bucketCounts:   make([]int64, len(latencyBuckets)+1),
-		batchBuckets:   make([]int64, len(batchSizeBuckets)+1),
-		waitBuckets:    make([]int64, len(queueWaitBuckets)+1),
-		dirtyBuckets:   make([]int64, len(dirtyFractionBuckets)+1),
-		roundBuckets:   make([]int64, len(roundsBuckets)+1),
-		gainBuckets:    make([]int64, len(roundGainBuckets)+1),
-		flushesByCause: make(map[infer.FlushReason]int64),
+		start:        time.Now(),
+		sched:        sched,
+		requests:     make(map[string]map[int]int64),
+		bucketCounts: make([]int64, len(latencyBuckets)+1),
+		dirtyBuckets: make([]int64, len(dirtyFractionBuckets)+1),
+		roundBuckets: make([]int64, len(roundsBuckets)+1),
+		gainBuckets:  make([]int64, len(roundGainBuckets)+1),
 	}
-}
-
-// ObserveFlush implements infer.Collector: every coalescer flush lands in
-// the batch-size and queue-wait histograms plus the per-reason counter.
-func (m *Metrics) ObserveFlush(fs infer.FlushStats) {
-	sec := fs.QueueWait.Seconds()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.batchBuckets[sort.SearchFloat64s(batchSizeBuckets, float64(fs.Size))]++
-	m.batchSum += int64(fs.Size)
-	m.batchCount++
-	m.waitBuckets[sort.SearchFloat64s(queueWaitBuckets, sec)]++
-	m.waitSum += sec
-	m.flushesByCause[fs.Reason]++
 }
 
 // Observe records one completed request.
@@ -191,11 +152,6 @@ func (m *Metrics) SetDegradedFunc(f func() []string) { m.degraded = f }
 // SetArenaStatsFunc installs the callback that reports the cut-arena pool
 // counters. Call before serving.
 func (m *Metrics) SetArenaStatsFunc(f func() cuts.PoolStats) { m.arenaStats = f }
-
-// SetBatchWaitFunc installs the callback that reports the current
-// (possibly adaptive) coalescer flush deadline in seconds. Call before
-// serving.
-func (m *Metrics) SetBatchWaitFunc(f func() float64) { m.batchWait = f }
 
 // SetMapCacheStatsFunc installs the callback that reports the mapping
 // result cache counters. Call before serving.
@@ -289,14 +245,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	latencySum, latencyCount := m.latencySum, m.latencyCount
 	cutsTotal, mapsTotal := m.cutsTotal, m.mapsTotal
 	panicsTotal := m.panicsTotal
-	batchBuckets := append([]int64(nil), m.batchBuckets...)
-	batchSum, batchCount := m.batchSum, m.batchCount
-	waitBuckets := append([]int64(nil), m.waitBuckets...)
-	waitSum := m.waitSum
-	flushes := make(map[infer.FlushReason]int64, len(m.flushesByCause))
-	for r, c := range m.flushesByCause {
-		flushes[r] = c
-	}
 	peakCutsMax := m.peakCutsMax
 	dirtyBuckets := append([]int64(nil), m.dirtyBuckets...)
 	dirtySum, dirtyCount := m.dirtySum, m.dirtyCount
@@ -357,48 +305,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintln(w, "# HELP slap_cuts_per_second Mean cut throughput since start.")
 	fmt.Fprintln(w, "# TYPE slap_cuts_per_second gauge")
 	fmt.Fprintf(w, "slap_cuts_per_second %g\n", m.CutsPerSec())
-
-	fmt.Fprintln(w, "# HELP slap_infer_batch_size Samples per coalesced inference flush.")
-	fmt.Fprintln(w, "# TYPE slap_infer_batch_size histogram")
-	var bcum int64
-	for i, ub := range batchSizeBuckets {
-		bcum += batchBuckets[i]
-		fmt.Fprintf(w, "slap_infer_batch_size_bucket{le=\"%g\"} %d\n", ub, bcum)
-	}
-	bcum += batchBuckets[len(batchSizeBuckets)]
-	fmt.Fprintf(w, "slap_infer_batch_size_bucket{le=\"+Inf\"} %d\n", bcum)
-	fmt.Fprintf(w, "slap_infer_batch_size_sum %d\n", batchSum)
-	fmt.Fprintf(w, "slap_infer_batch_size_count %d\n", batchCount)
-
-	fmt.Fprintln(w, "# HELP slap_infer_queue_wait_seconds Wait of the oldest sample in each flushed batch.")
-	fmt.Fprintln(w, "# TYPE slap_infer_queue_wait_seconds histogram")
-	var wcum int64
-	for i, ub := range queueWaitBuckets {
-		wcum += waitBuckets[i]
-		fmt.Fprintf(w, "slap_infer_queue_wait_seconds_bucket{le=\"%g\"} %d\n", ub, wcum)
-	}
-	wcum += waitBuckets[len(queueWaitBuckets)]
-	fmt.Fprintf(w, "slap_infer_queue_wait_seconds_bucket{le=\"+Inf\"} %d\n", wcum)
-	fmt.Fprintf(w, "slap_infer_queue_wait_seconds_sum %g\n", waitSum)
-	fmt.Fprintf(w, "slap_infer_queue_wait_seconds_count %d\n", batchCount)
-
-	fmt.Fprintln(w, "# HELP slap_infer_flushes_total Coalescer flushes by trigger.")
-	fmt.Fprintln(w, "# TYPE slap_infer_flushes_total counter")
-	for _, reason := range []infer.FlushReason{infer.FlushSize, infer.FlushDeadline, infer.FlushDrain} {
-		fmt.Fprintf(w, "slap_infer_flushes_total{reason=%q} %d\n", string(reason), flushes[reason])
-		delete(flushes, reason)
-	}
-	for reason, c := range flushes {
-		fmt.Fprintf(w, "slap_infer_flushes_total{reason=%q} %d\n", string(reason), c)
-	}
-
-	fmt.Fprintln(w, "# HELP slap_infer_adaptive_wait_seconds Current coalescer flush deadline (EWMA-derived when adaptive).")
-	fmt.Fprintln(w, "# TYPE slap_infer_adaptive_wait_seconds gauge")
-	batchWait := 0.0
-	if m.batchWait != nil {
-		batchWait = m.batchWait()
-	}
-	fmt.Fprintf(w, "slap_infer_adaptive_wait_seconds %g\n", batchWait)
 
 	var arena cuts.PoolStats
 	if m.arenaStats != nil {
@@ -559,7 +465,6 @@ func (m *Metrics) snapshot() any {
 	cutsTotal := m.cutsTotal
 	mapsTotal := m.mapsTotal
 	panicsTotal := m.panicsTotal
-	batchCount, batchSum := m.batchCount, m.batchSum
 	peakCutsMax := m.peakCutsMax
 	m.mu.Unlock()
 	var arena cuts.PoolStats
@@ -595,8 +500,6 @@ func (m *Metrics) snapshot() any {
 		"cuts_considered":         cutsTotal,
 		"mappings_total":          mapsTotal,
 		"panics_total":            panicsTotal,
-		"infer_flushes":           batchCount,
-		"infer_batched":           batchSum,
 		"cuts_per_second":         m.CutsPerSec(),
 		"queue_depth":             m.sched.QueueDepth(),
 		"inflight_workers":        m.sched.InFlight(),

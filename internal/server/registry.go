@@ -18,6 +18,8 @@ import (
 	"sync"
 	"time"
 
+	"slap/internal/core"
+	"slap/internal/infer"
 	"slap/internal/library"
 	"slap/internal/nn"
 )
@@ -58,9 +60,22 @@ type Registry struct {
 	lastLoadErr  string
 }
 
+// modelEntry is one registry model and the inference engine every request
+// on it shares: the engine reads the weights only and is safe for
+// concurrent ForwardBatch calls, and its pooled scratch is bounded per
+// pass, so one per model serves the whole server.
 type modelEntry struct {
-	model *nn.Model
-	info  ModelInfo
+	model  *nn.Model
+	engine core.Batcher
+	info   ModelInfo
+}
+
+// slap returns a SLAP over the entry's model and lib that classifies
+// through the entry's shared engine.
+func (e modelEntry) slap(lib *library.Library) *core.SLAP {
+	sl := core.New(e.model, lib)
+	sl.Batch = e.engine
+	return sl
 }
 
 type libEntry struct {
@@ -101,7 +116,7 @@ func (r *Registry) AddModel(name string, m *nn.Model, source string) error {
 	if _, ok := r.models[name]; ok {
 		return fmt.Errorf("server: model %q already registered", name)
 	}
-	r.models[name] = modelEntry{model: m, info: ModelInfo{
+	r.models[name] = modelEntry{model: m, engine: infer.NewEngine(m, infer.Options{}), info: ModelInfo{
 		Name: name, Params: m.NumParams(), Classes: m.Classes,
 		Source: source, LoadedAt: time.Now(),
 	}}
@@ -168,12 +183,19 @@ func (r *Registry) LoadFailures() (int64, string) {
 
 // Model returns the named model, or an error listing the available names.
 func (r *Registry) Model(name string) (*nn.Model, error) {
+	e, err := r.modelEntry(name)
+	return e.model, err
+}
+
+// modelEntry returns the named model's entry, or an error listing the
+// available names.
+func (r *Registry) modelEntry(name string) (modelEntry, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if e, ok := r.models[name]; ok {
-		return e.model, nil
+		return e, nil
 	}
-	return nil, fmt.Errorf("server: unknown model %q (available: %s)", name, joinKeys(r.models))
+	return modelEntry{}, fmt.Errorf("server: unknown model %q (available: %s)", name, joinKeys(r.models))
 }
 
 // Library returns the named library; an empty name selects DefaultLibrary.

@@ -22,12 +22,10 @@ import (
 	"slap/internal/choice"
 	"slap/internal/core"
 	"slap/internal/cuts"
-	"slap/internal/infer"
 	"slap/internal/library"
 	"slap/internal/lutmap"
 	"slap/internal/mapcache"
 	"slap/internal/mapper"
-	"slap/internal/nn"
 )
 
 // Config configures a mapping server.
@@ -53,18 +51,6 @@ type Config struct {
 	// shard directory) outlives completion before being garbage-collected
 	// (0 = DefaultJobRetention, negative = keep forever).
 	JobRetention time.Duration
-	// MaxBatch is the inference coalescer's flush size: concurrent slap
-	// mappings and classifications share batched forward passes through one
-	// coalescer per model (0 = infer.DefaultMaxBatch, negative = disable
-	// batching and run the per-sample path).
-	MaxBatch int
-	// BatchWait bounds how long a lone inference submission waits for
-	// batch-mates before flushing anyway (0 = infer.DefaultMaxWait).
-	BatchWait time.Duration
-	// AdaptiveBatchWait derives each coalescer's flush deadline from the
-	// observed arrival rate (EWMA), clamped to BatchWait; the current value
-	// is exported on /metrics.
-	AdaptiveBatchWait bool
 	// ArenaCache is how many cut arenas the server caches across mapping
 	// requests, keyed by graph identity, so repeated mappings of the same
 	// design reuse cut storage instead of reallocating it
@@ -141,11 +127,6 @@ type Server struct {
 	// (same graph, same model) into one classification run.
 	classify *mapcache.Flight[*core.Classification]
 
-	// coalescers holds one inference coalescer per registry model
-	// (*nn.Model -> *infer.Coalescer), created on first slap/classify use
-	// so concurrent requests against the same model share forward passes.
-	coalescers sync.Map
-
 	// faultHook, when set (tests only), runs at the start of every mapping
 	// worker so panic recovery and budget accounting can be exercised.
 	faultHook func(endpoint string)
@@ -196,7 +177,6 @@ func New(cfg Config) *Server {
 		s.metrics.SetChoiceCacheStatsFunc(s.views.Stats)
 		s.views.OnBuild = s.metrics.ObserveChoiceBuild
 	}
-	s.metrics.SetBatchWaitFunc(s.maxBatchWait)
 
 	mux := http.NewServeMux()
 	mux.Handle("POST /v1/map", s.instrument("/v1/map", s.handleMap))
@@ -229,52 +209,10 @@ func (s *Server) Scheduler() *Scheduler { return s.sched }
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Close begins draining: queued requests fail fast with 503 while granted
-// worker tokens stay borrowed until their mappings finish, then the
-// inference coalescers drain and stop. Call after http.Server.Shutdown has
-// stopped accepting connections.
+// worker tokens stay borrowed until their mappings finish. Call after
+// http.Server.Shutdown has stopped accepting connections.
 func (s *Server) Close() {
 	s.sched.Close()
-	s.coalescers.Range(func(_, v any) bool {
-		v.(*infer.Coalescer).Close()
-		return true
-	})
-}
-
-// batcherFor returns the shared batched-inference hook for model, creating
-// the engine + coalescer pair on first use. Returns an untyped nil when
-// batching is disabled, so core sees Batch == nil and stays per-sample.
-func (s *Server) batcherFor(model *nn.Model) core.Batcher {
-	if s.cfg.MaxBatch < 0 {
-		return nil
-	}
-	if v, ok := s.coalescers.Load(model); ok {
-		return v.(*infer.Coalescer)
-	}
-	co := infer.NewCoalescer(infer.NewEngine(model, infer.Options{}), infer.CoalescerOptions{
-		MaxBatch:     s.cfg.MaxBatch,
-		MaxWait:      s.cfg.BatchWait,
-		AdaptiveWait: s.cfg.AdaptiveBatchWait,
-		Collector:    s.metrics,
-	})
-	if prev, loaded := s.coalescers.LoadOrStore(model, co); loaded {
-		co.Close()
-		return prev.(*infer.Coalescer)
-	}
-	return co
-}
-
-// maxBatchWait reports the largest currently-armed coalescer flush deadline
-// in seconds — the /metrics view of the adaptive batch wait. Zero when no
-// coalescer exists yet.
-func (s *Server) maxBatchWait() float64 {
-	var w time.Duration
-	s.coalescers.Range(func(_, v any) bool {
-		if cur := v.(*infer.Coalescer).CurrentWait(); cur > w {
-			w = cur
-		}
-		return true
-	})
-	return w.Seconds()
 }
 
 // ---------------------------------------------------------------------------
@@ -569,7 +507,7 @@ func schedStatus(err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrClosed), errors.Is(err, infer.ErrClosed):
+	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrClosed):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable
@@ -708,16 +646,18 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	var model *nn.Model
+	var sl *core.SLAP
 	if req.Policy == "slap" {
 		if req.Model == "" {
 			writeError(w, http.StatusBadRequest, errors.New("policy \"slap\" requires \"model\" (see GET /v1/registry)"))
 			return
 		}
-		if model, err = s.reg.Model(req.Model); err != nil {
+		m, err := s.reg.modelEntry(req.Model)
+		if err != nil {
 			writeError(w, http.StatusNotFound, err)
 			return
 		}
+		sl = m.slap(lib)
 	}
 
 	t0 := time.Now()
@@ -746,7 +686,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 				ch <- outcome{nil, fmt.Errorf("mapping panicked: %v", p)}
 			}
 		}()
-		resp, err := s.executeMap(ctx, req, g, lib, model, granted)
+		resp, err := s.executeMap(ctx, req, g, lib, sl, granted)
 		if resp != nil {
 			s.metrics.AddCuts(resp.CutsConsidered)
 			s.metrics.ObservePeakCuts(resp.PeakCuts)
@@ -792,8 +732,9 @@ func (s *Server) stampWorker(w http.ResponseWriter) {
 // executeMap runs one mapping with the granted worker count through
 // core.Run, with the server's arena pool, view cache and result cache.
 // Each request maps its own freshly decoded graph; the only shared state is
-// the registry's model (read-only) and library (internally locked memo).
-func (s *Server) executeMap(ctx context.Context, req *MapRequest, g *aig.AIG, lib *library.Library, model *nn.Model, workers int) (*MapResponse, error) {
+// the registry's model (read-only) with its inference engine and the
+// library (internally locked memo). sl is nil unless the policy is slap.
+func (s *Server) executeMap(ctx context.Context, req *MapRequest, g *aig.AIG, lib *library.Library, sl *core.SLAP, workers int) (*MapResponse, error) {
 	if s.faultHook != nil {
 		s.faultHook("/v1/map")
 	}
@@ -801,11 +742,7 @@ func (s *Server) executeMap(ctx context.Context, req *MapRequest, g *aig.AIG, li
 		Target: req.Target, Policy: req.Policy, Limit: req.Limit, Seed: req.Seed,
 		Library: lib, Workers: workers, Rounds: req.Rounds, DelayFactor: req.DelayFactor,
 		Choices: req.Choices, ChoiceOpts: s.cfg.ChoiceOptions, Views: s.views, Pool: s.pool,
-		Cache: s.cache, ECO: s.cfg.ECO, Verify: req.Verify,
-	}
-	if model != nil {
-		run.SLAP = core.New(model, lib)
-		run.SLAP.Batch = s.batcherFor(model)
+		Cache: s.cache, ECO: s.cfg.ECO, Verify: req.Verify, SLAP: sl,
 	}
 	out, err := core.Run(ctx, g, run)
 	if err != nil {
@@ -871,7 +808,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("classify requires \"model\" (see GET /v1/registry)"))
 		return
 	}
-	model, err := s.reg.Model(req.Model)
+	m, err := s.reg.modelEntry(req.Model)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
@@ -910,11 +847,10 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		}
 		// Concurrent identical submissions (same graph, same model) share one
 		// classification run; only the leader counts the cuts it processed.
-		key := mapcache.KeyOf(g, fmt.Sprintf("classify/model=%p", model))
+		key := mapcache.KeyOf(g, fmt.Sprintf("classify/model=%p", m.model))
 		cls, shared, err := s.classify.Do(key, func() (*core.Classification, error) {
-			sl := core.New(model, lib)
+			sl := m.slap(lib)
 			sl.Workers = granted
-			sl.Batch = s.batcherFor(model)
 			cls, err := sl.ClassifyContext(ctx, g)
 			if cls != nil {
 				s.metrics.AddCuts(cls.TotalCuts)

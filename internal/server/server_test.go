@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -660,14 +661,79 @@ func truncateStr(s string, n int) string {
 	return s[:n]
 }
 
-// TestInferBatchMetricsExported drives classification and slap mapping with
-// the default micro-batching enabled and checks the coalescer's flush
-// telemetry reaches /metrics: batch-size histogram, queue-wait histogram and
-// per-reason flush counters.
-func TestInferBatchMetricsExported(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+// countingEngine wraps a registry model's engine and counts the batches it
+// serves.
+type countingEngine struct {
+	inner core.Batcher
+	calls atomic.Int64
+}
 
+func (c *countingEngine) PredictBatch(ctx context.Context, xs [][]float64) ([][]float64, error) {
+	c.calls.Add(1)
+	return c.inner.PredictBatch(ctx, xs)
+}
+
+// TestConcurrentInferenceSharesEngine runs several concurrent policy=slap
+// maps on one model: each answers BLIF byte-identical to a sequential run,
+// and every one of them classifies through the model's single registry
+// engine (the engine serves exactly one sequential run's batches per
+// request, so no request built an engine of its own). Two concurrent
+// classifications then go through the same engine.
+func TestConcurrentInferenceSharesEngine(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	srv.reg.mu.Lock()
+	entry := srv.reg.models["toy"]
+	engine := &countingEngine{inner: entry.engine}
+	entry.engine = engine
+	srv.reg.models["toy"] = entry
+	srv.reg.mu.Unlock()
+
+	const url = "/v1/map?policy=slap&model=toy&netlist=blif"
+	mapBLIF := func() (string, error) {
+		resp, data := postRaw(t, ts.URL+url, rc16Text(t))
+		if resp.StatusCode != http.StatusOK {
+			return "", fmt.Errorf("status %d (%s)", resp.StatusCode, data)
+		}
+		var got MapResponse
+		if err := json.Unmarshal(data, &got); err != nil {
+			return "", err
+		}
+		return got.Netlist, nil
+	}
+	want, err := mapBLIF()
+	if err != nil {
+		t.Fatalf("sequential map: %v", err)
+	}
+	perMap := engine.calls.Load()
+	if want == "" || perMap == 0 {
+		t.Fatalf("sequential map: %d-byte BLIF, %d engine batches", len(want), perMap)
+	}
+
+	const clients = 4
+	got := make([]string, clients)
+	errs := make([]error, clients)
 	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = mapBLIF()
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("concurrent map %d: %v", i, errs[i])
+		}
+		if got[i] != want {
+			t.Errorf("concurrent map %d: BLIF differs from the sequential run", i)
+		}
+	}
+	if calls, wantCalls := engine.calls.Load(), (clients+1)*perMap; calls != wantCalls {
+		t.Errorf("registry engine served %d batches, want %d (%d per map)", calls, wantCalls, perMap)
+	}
+
+	before := engine.calls.Load()
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
@@ -679,46 +745,8 @@ func TestInferBatchMetricsExported(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	resp, data := postRaw(t, ts.URL+"/v1/map?policy=slap&model=toy", rc16Text(t))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("map: status %d (%s)", resp.StatusCode, data)
-	}
-
-	respM, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(respM.Body)
-	respM.Body.Close()
-	text := string(body)
-
-	for _, want := range []string{
-		`slap_infer_batch_size_bucket{le="1"}`,
-		`slap_infer_batch_size_bucket{le="+Inf"}`,
-		`slap_infer_queue_wait_seconds_bucket{le="+Inf"}`,
-		`slap_infer_flushes_total{reason="size"}`,
-		`slap_infer_flushes_total{reason="deadline"}`,
-		`slap_infer_flushes_total{reason="drain"}`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics missing %q", want)
-		}
-	}
-	if v := metricsGauge(t, text, "slap_infer_batch_size_count"); v <= 0 {
-		t.Errorf("slap_infer_batch_size_count = %v, want > 0 after batched inference", v)
-	}
-	if v := metricsGauge(t, text, "slap_infer_batch_size_sum"); v <= 0 {
-		t.Errorf("slap_infer_batch_size_sum = %v, want > 0", v)
-	}
-}
-
-// TestBatchingDisabled checks MaxBatch < 0 falls back to per-sample inference
-// (no flushes recorded) while requests still succeed.
-func TestBatchingDisabled(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: -1})
-	resp, data := postRaw(t, ts.URL+"/v1/classify?model=toy", rc16Text(t))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("classify: status %d (%s)", resp.StatusCode, data)
+	if engine.calls.Load() == before {
+		t.Error("classifications bypassed the registry engine")
 	}
 	respM, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -726,8 +754,8 @@ func TestBatchingDisabled(t *testing.T) {
 	}
 	body, _ := io.ReadAll(respM.Body)
 	respM.Body.Close()
-	if v := metricsGauge(t, string(body), "slap_infer_batch_size_count"); v != 0 {
-		t.Errorf("batching disabled but %v flushes recorded", v)
+	if !strings.Contains(string(body), `slap_requests_total{endpoint="/v1/classify",code="200"} 2`) {
+		t.Errorf("metrics do not count the two classifications:\n%s", body)
 	}
 }
 
@@ -735,7 +763,7 @@ func TestBatchingDisabled(t *testing.T) {
 // identical answers, then checks the arena pool and peak-cut telemetry on
 // /metrics after the repeated same-graph requests.
 func TestMapRepeatArenaMetrics(t *testing.T) {
-	_, ts := newTestServer(t, Config{AdaptiveBatchWait: true})
+	_, ts := newTestServer(t, Config{})
 	body := map[string]any{
 		"circuit": rc16Text(t), "policy": "default",
 		"netlist": "blif", "verify": true,
@@ -786,9 +814,6 @@ func TestMapRepeatArenaMetrics(t *testing.T) {
 	}
 	if v := metricsGauge(t, string(text), "slap_peak_live_cuts"); int(v) != first.PeakCuts {
 		t.Errorf("slap_peak_live_cuts = %v, want %d", v, first.PeakCuts)
-	}
-	if !strings.Contains(string(text), "slap_infer_adaptive_wait_seconds") {
-		t.Error("metrics missing slap_infer_adaptive_wait_seconds")
 	}
 }
 
