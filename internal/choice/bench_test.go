@@ -10,9 +10,12 @@ import (
 // BenchmarkChoiceBuild splits view construction into its three phases on
 // ArrayMultiplier(8) — the BenchmarkMultiRoundMap/rounds4choices circuit,
 // so phase numbers compose directly with the end-to-end mapping numbers in
-// results/. The prove phase is the historical bottleneck: per-class
-// cone-scoped solvers scheduled as a level wavefront with fact injection
-// replaced one whole-graph solver proving pairs sequentially.
+// results/. The prove phase is the historical bottleneck: cone-scoped
+// class proofs scheduled as a level wavefront with fact injection, each
+// worker reusing one pointer-free solver arena across all its classes. Its
+// B/op is mostly the per-class result slices and one node→var map per
+// worker; the solver itself stops allocating once warm
+// (TestProverSteadyStateAllocs).
 func BenchmarkChoiceBuild(b *testing.B) {
 	base := circuits.ArrayMultiplier(8)
 	var o Options

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -498,24 +499,24 @@ type classResult struct {
 
 // prove is the prove phase: discharge every candidate class and materialise
 // the eligible member lists. Classes are the parallel work units — each is
-// proven on a solver scoped to its transitive-fanin cone (see coneProver),
-// so no solver state is shared between classes or workers — scheduled as a
-// level wavefront: classes are grouped by the level of their deepest node
-// and the groups run in ascending order with a barrier between them, each
-// class installing the certified equivalences of all earlier groups
-// (restricted to its cone) as hard clauses before solving. The wavefront
-// order makes certification inductive, exactly like sequential fraiging: a
-// class's fact sources — classes with at least two nodes inside its cone —
-// consist entirely of strictly lower-level nodes (a cone's only
+// proven on a solver scoped to its transitive-fanin cone, on its worker's one
+// coneProver, whose reset leaves no solver state from one class to the next —
+// scheduled as a level wavefront: classes are grouped by the level of their
+// deepest node and the groups run in ascending order with a barrier between
+// them, each class installing the certified equivalences of all earlier
+// groups (restricted to its cone) as hard clauses before solving. The
+// wavefront order makes certification inductive, exactly like sequential
+// fraiging: a class's fact sources — classes with at least two nodes inside
+// its cone — consist entirely of strictly lower-level nodes (a cone's only
 // maximum-level nodes are the class's own), so every fact a proof could use
-// exists before the proof is attempted and a deep pair propagates to
-// equality instead of being re-derived by search. Each group's fact base is
-// frozen at its barrier (workers replace a class's certified slice, never
-// mutate it), so every verdict is a pure function of (graph, proposal,
-// options) — never of scheduling — and the assembled view is
-// byte-identical for any Workers count. When simulation was exhaustive the
-// signatures are truth tables and membership is already proven; only the
-// eligibility filtering runs, in a single group.
+// exists before the proof is attempted and a deep pair propagates to equality
+// instead of being re-derived by search. Each group's fact base is frozen at
+// its barrier (workers replace a class's certified slice, never mutate it),
+// so every verdict is a pure function of (graph, proposal, options) — never
+// of scheduling — and the assembled view is byte-identical for any Workers
+// count. When simulation was exhaustive the signatures are truth tables and
+// membership is already proven; only the eligibility filtering runs, in a
+// single group.
 func (v *View) prove(ctx context.Context, prop *proposal, o Options) error {
 	classes := prop.classes
 	if len(classes) == 0 {
@@ -525,40 +526,11 @@ func (v *View) prove(ctx context.Context, prop *proposal, o Options) error {
 	g.Level(0) // force the lazy level annotation once, before workers share g
 
 	results := make([]classResult, len(classes))
-
-	// Group class indices by max node level, groups in ascending level
-	// order. Exhaustive views need no facts, hence a single group.
-	var groups [][]int32
-	if v.exhaustive {
-		all := make([]int32, len(classes))
-		for i := range all {
-			all[i] = int32(i)
-		}
-		groups = [][]int32{all}
-	} else {
-		byLevel := make(map[int32][]int32)
-		var levels []int32
-		for i, class := range classes {
-			maxLvl := int32(0)
-			for _, n := range class {
-				if l := g.Level(n); l > maxLvl {
-					maxLvl = l
-				}
-			}
-			if _, ok := byLevel[maxLvl]; !ok {
-				levels = append(levels, maxLvl)
-			}
-			byLevel[maxLvl] = append(byLevel[maxLvl], int32(i))
-		}
-		sort.Slice(levels, func(a, b int) bool { return levels[a] < levels[b] })
-		for _, l := range levels {
-			groups = append(groups, byLevel[l])
-		}
-	}
-
+	groups := levelGroups(g, classes, v.exhaustive)
+	provers := make([]*coneProver, min(o.Workers, len(classes)))
 	snap := make([][]uint32, len(classes))
 	for _, group := range groups {
-		err := v.forEachClass(ctx, len(group), o, func(k int, pr *coneProver) {
+		err := v.forEachClass(ctx, len(group), provers, func(k int, pr *coneProver) {
 			i := group[k]
 			results[i] = proveClass(g, classes[i], prop.pol, pr, snap, o)
 		})
@@ -585,24 +557,57 @@ func (v *View) prove(ctx context.Context, prop *proposal, o Options) error {
 	return nil
 }
 
-// forEachClass runs fn over n work items on a Workers-bounded pool, each
-// worker holding one reusable coneProver (nil when simulation was
-// exhaustive). Work distribution is an atomic counter: any assignment of
-// items to workers yields the same results because fn's output for an item
-// never depends on the other items' scheduling.
-func (v *View) forEachClass(ctx context.Context, n int, o Options, fn func(i int, pr *coneProver)) error {
-	workers := o.Workers
-	if workers > n {
-		workers = n
-	}
-	newProver := func() *coneProver {
-		if v.exhaustive {
-			return nil
+// levelGroups groups class indices by the level of their deepest node, the
+// groups in ascending level order (see prove). Exhaustive views need no
+// facts, hence a single group.
+func levelGroups(g *aig.AIG, classes [][]uint32, exhaustive bool) [][]int32 {
+	if exhaustive {
+		all := make([]int32, len(classes))
+		for i := range all {
+			all[i] = int32(i)
 		}
-		return newConeProver(v.G)
+		return [][]int32{all}
+	}
+	byLevel := make(map[int32][]int32)
+	var levels []int32
+	for i, class := range classes {
+		maxLvl := int32(0)
+		for _, n := range class {
+			if l := g.Level(n); l > maxLvl {
+				maxLvl = l
+			}
+		}
+		if _, ok := byLevel[maxLvl]; !ok {
+			levels = append(levels, maxLvl)
+		}
+		byLevel[maxLvl] = append(byLevel[maxLvl], int32(i))
+	}
+	slices.Sort(levels)
+	groups := make([][]int32, 0, len(levels))
+	for _, l := range levels {
+		groups = append(groups, byLevel[l])
+	}
+	return groups
+}
+
+// forEachClass runs fn over n work items on at most len(provers)
+// goroutines. Worker k proves on provers[k] (nil when simulation was
+// exhaustive), created on first use and kept for every later call, so one
+// prover per worker serves the whole build across all level groups; the
+// caller's barrier between calls orders each slot's uses. Work distribution
+// is an atomic counter: any assignment of items to workers yields the same
+// results because fn's output for an item never depends on the other
+// items' scheduling, nor on what a prover proved before.
+func (v *View) forEachClass(ctx context.Context, n int, provers []*coneProver, fn func(i int, pr *coneProver)) error {
+	workers := min(len(provers), n)
+	prover := func(k int) *coneProver {
+		if provers[k] == nil && !v.exhaustive {
+			provers[k] = newConeProver(v.G)
+		}
+		return provers[k]
 	}
 	if workers <= 1 {
-		pr := newProver()
+		pr := prover(0)
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -618,7 +623,7 @@ func (v *View) forEachClass(ctx context.Context, n int, o Options, fn func(i int
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pr := newProver()
+			pr := prover(wk)
 			for !stop.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= n {

@@ -1,9 +1,12 @@
 package choice
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"slap/internal/aig"
 	"slap/internal/circuits"
 	"slap/internal/cuts"
 	"slap/internal/lutmap"
@@ -158,7 +161,8 @@ func TestChoiceProofDropsRareDifferences(t *testing.T) {
 // instances independent of any AIG.
 func TestSatSolverBasics(t *testing.T) {
 	// (a | b) & (!a | b) & (a | !b) & (!a | !b) — classic UNSAT square.
-	s := newSatSolver(2)
+	var s satSolver
+	s.reset(2)
 	a, b := mkLit(0, false), mkLit(1, false)
 	ok := s.addClause(a, b) && s.addClause(a.not(), b) && s.addClause(a, b.not())
 	if !ok {
@@ -168,8 +172,9 @@ func TestSatSolverBasics(t *testing.T) {
 		t.Fatal("unsat square not refuted")
 	}
 
-	// Satisfiable chain with assumptions driving it both ways.
-	s = newSatSolver(3)
+	// Satisfiable chain with assumptions driving it both ways, on the same
+	// solver after a reset: nothing of the UNSAT square may survive it.
+	s.reset(3)
 	x, y, z := mkLit(0, false), mkLit(1, false), mkLit(2, false)
 	if !s.addClause(x.not(), y) || !s.addClause(y.not(), z) {
 		t.Fatal("chain setup failed")
@@ -212,4 +217,109 @@ func TestProverAgreesWithExhaustiveSim(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestProverReuseIsPure pins the property that lets every build worker keep
+// one coneProver for the whole build: a class's proof outcome must not
+// depend on what the prover proved before. Every class of booth-8 is proven
+// once on a fresh prover per class, in wavefront order, and once on a
+// single reused prover in a shuffled order, each class seeing the facts of
+// the groups before its own; the results must be equal. The default budget
+// exercises refuted candidates, a budget of 3 conflicts exercises budget
+// drops — the verdicts most sensitive to leftover solver state.
+func TestProverReuseIsPure(t *testing.T) {
+	g := circuits.BoothMultiplier(8)
+	for _, budget := range []int64{0, 3} {
+		o := Options{ProofConflicts: budget}
+		o.fill()
+		v, prop := proposeOnly(t, g, o)
+		classes := prop.classes
+		groups := levelGroups(v.G, classes, false)
+		groupOf := make([]int, len(classes))
+		for k, group := range groups {
+			for _, i := range group {
+				groupOf[i] = k
+			}
+		}
+
+		fresh := make([]classResult, len(classes))
+		snap := make([][]uint32, len(classes))
+		var differ, dropped int
+		for _, group := range groups {
+			for _, i := range group {
+				fresh[i] = proveClass(v.G, classes[i], prop.pol, newConeProver(v.G), snap, o)
+				differ += fresh[i].droppedDiffer
+				dropped += fresh[i].droppedBudget
+			}
+			for _, i := range group {
+				snap[i] = fresh[i].certified
+			}
+		}
+		t.Logf("budget %d: %d classes, %d refuted, %d budget drops", budget, len(classes), differ, dropped)
+		if budget == 0 && differ == 0 {
+			t.Fatal("default budget refuted no candidate; the test exercised no counterexample")
+		}
+		if budget == 3 && dropped == 0 {
+			t.Fatal("3-conflict budget dropped no candidate; the test exercised no budget exhaustion")
+		}
+
+		pr := newConeProver(v.G)
+		order := rand.New(rand.NewSource(budget + 1)).Perm(len(classes))
+		for _, i := range order {
+			for j := range snap {
+				snap[j] = nil
+				if groupOf[j] < groupOf[i] {
+					snap[j] = fresh[j].certified
+				}
+			}
+			if got := proveClass(v.G, classes[i], prop.pol, pr, snap, o); !reflect.DeepEqual(got, fresh[i]) {
+				t.Fatalf("budget %d: class %d on a reused prover = %+v, fresh prover = %+v", budget, i, got, fresh[i])
+			}
+		}
+	}
+}
+
+// TestProverSteadyStateAllocs guards the reason one prover serves a whole
+// build: once it has seen a class, loading and proving that class again
+// reuses every solver structure and allocates nothing.
+func TestProverSteadyStateAllocs(t *testing.T) {
+	g := circuits.BoothMultiplier(8)
+	var o Options
+	o.fill()
+	v, prop := proposeOnly(t, g, o)
+	// The class with the largest cone: the design's largest SAT instance.
+	pr := newConeProver(v.G)
+	var class []uint32
+	best := 0
+	for _, c := range prop.classes {
+		pr.load(c)
+		if len(pr.cone) > best {
+			class, best = c, len(pr.cone)
+		}
+	}
+	n, m := class[len(class)-1], class[0]
+	compl := prop.pol[n] != prop.pol[m]
+	run := func() {
+		pr.load(class)
+		pr.equivalent(n, m, compl, o.ProofConflicts)
+	}
+	run()
+	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+		t.Fatalf("reloading and proving a warmed class allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// proposeOnly runs Build's graft and simulate phases on g, which must be
+// past the exhaustive-simulation bound so the prover has work.
+func proposeOnly(t *testing.T, g *aig.AIG, o Options) (*View, *proposal) {
+	t.Helper()
+	v := combine(g, o)
+	prop, err := v.propose(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.exhaustive {
+		t.Fatalf("%s unexpectedly simulated exhaustively", g.Name)
+	}
+	return v, prop
 }

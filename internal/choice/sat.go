@@ -3,25 +3,31 @@
 // equivalence classes; two nodes of a deep circuit can agree on thousands of
 // random patterns and still differ on a rare one (a long carry chain, a
 // near-constant guard), and a false choice silently corrupts the mapped
-// netlist. So, like ABC's fraiging, every (node, member) pair is discharged
-// by two incremental SAT calls over the combined graph's Tseitin encoding —
-// UNSAT(n=1, m'=0) and UNSAT(n=0, m'=1) — under a conflict budget; anything
-// SAT (truly different) or out of budget (unproven) is dropped. Dropping is
-// always sound: the view just offers fewer alternatives.
+// netlist. So, like ABC's fraiging, every class member is discharged by two
+// incremental SAT calls — UNSAT(n=1, m'=0) and UNSAT(n=0, m'=1) against its
+// certification anchor m — over the Tseitin encoding of the class's union
+// transitive-fanin cone, under a conflict budget; anything SAT (truly
+// different) or out of budget (unproven) is dropped. Dropping is always
+// sound: the view just offers fewer alternatives.
 //
 // The solver is deliberately small: two-watched-literal propagation,
 // first-UIP clause learning, phase saving, an activity-bumped decision
-// heuristic and Luby-style restarts. Each equivalence class gets its own
-// solver over the Tseitin encoding of the class's union transitive-fanin
-// cone (see coneProver): learned clauses persist across the per-pair calls
-// within one class, which is what makes class proving cheap — members come
-// from rebalanced variants of the same logic, so the cones share almost
-// everything — while cone scoping keeps the instance (watch lists, branch
-// scan, clause DB) orders of magnitude smaller than the combined graph.
+// heuristic and Luby-style restarts. Clauses live in one flat literal arena
+// addressed by uint32 offsets, so the clause database, watch lists and
+// reasons hold no pointers: the GC never scans them and no write barriers
+// run. A build worker keeps one solver for the whole build and reset()s it
+// for each class (see coneProver), which truncates every structure while
+// keeping its capacity — after the first few classes, encoding a cone and
+// searching it allocate nothing. Learned clauses persist across the
+// per-pair calls within one class, which is what makes class proving cheap
+// — members come from rebalanced variants of the same logic, so the cones
+// share almost everything — while cone scoping keeps the instance (watch
+// lists, branch scan, clause DB) orders of magnitude smaller than the
+// combined graph.
 package choice
 
 import (
-	"sort"
+	"slices"
 
 	"slap/internal/aig"
 )
@@ -35,7 +41,7 @@ const (
 )
 
 // Literal encoding: variable v yields literals v<<1 (positive) and v<<1|1
-// (negated). Variable i is combined-graph node i; node 0 is constant false.
+// (negated). Variable 0 is the constant-false node.
 type slit uint32
 
 func mkLit(v uint32, neg bool) slit {
@@ -52,27 +58,19 @@ func (l slit) sign() bool    { return l&1 != 0 }
 
 const litUndef = ^slit(0)
 
-type sclause struct {
-	lits    []slit
-	learned bool
-}
+// A clause reference is the arena offset of the clause's length word, which
+// its literals follow; noReason is the null reference.
+const noReason = ^uint32(0)
 
 type satSolver struct {
 	nVars   int
-	clauses []*sclause
-	watches [][]*sclause // literal -> clauses watching it (lits[0] or lits[1])
-
-	// Slab arenas for clause records and their literal arrays: a cone-scoped
-	// build creates one solver per equivalence class, so per-clause heap
-	// allocations dominate without batching. Chunked slabs keep previously
-	// handed-out pointers valid when a new chunk is carved.
-	clauseSlab []sclause
-	litSlab    []slit
+	arena   []slit     // clauses: a length word, then the literals
+	watches [][]uint32 // literal -> clauses watching it (lits[0] or lits[1])
 
 	assign   []int8 // per var: 0 undef, +1 true, -1 false
 	level    []int32
-	reason   []*sclause
-	phase    []bool // saved phase per var
+	reason   []uint32 // implying clause, noReason for decisions and units
+	phase    []bool   // saved phase per var
 	activity []float64
 	varInc   float64
 
@@ -81,22 +79,60 @@ type satSolver struct {
 	qhead    int
 
 	seen      []bool // scratch for analyze
+	learnt    []slit // analyze's output buffer
 	conflicts int64
 }
 
-func newSatSolver(nVars int) *satSolver {
-	s := &satSolver{
-		nVars:    nVars,
-		watches:  make([][]*sclause, nVars*2),
-		assign:   make([]int8, nVars),
-		level:    make([]int32, nVars),
-		reason:   make([]*sclause, nVars),
-		phase:    make([]bool, nVars),
-		activity: make([]float64, nVars),
-		seen:     make([]bool, nVars),
-		varInc:   1,
+// reset empties the solver for a fresh instance over nVars variables; the
+// zero satSolver must be reset before use. Every structure is truncated or
+// cleared in place, keeping its capacity, so a solver reused across
+// instances stops allocating once it has seen its largest one. Nothing of
+// the previous instance survives: the search that follows is the one a
+// never-used solver would run.
+func (s *satSolver) reset(nVars int) {
+	s.nVars = nVars
+	s.arena = s.arena[:0]
+	if nLits := 2 * nVars; cap(s.watches) < nLits {
+		ws := make([][]uint32, nLits)
+		copy(ws, s.watches[:cap(s.watches)])
+		s.watches = ws
+	} else {
+		s.watches = s.watches[:nLits]
 	}
-	return s
+	for i := range s.watches {
+		s.watches[i] = s.watches[i][:0]
+	}
+	s.assign = cleared(s.assign, nVars)
+	s.level = cleared(s.level, nVars)
+	s.reason = cleared(s.reason, nVars)
+	for i := range s.reason {
+		s.reason[i] = noReason
+	}
+	s.phase = cleared(s.phase, nVars)
+	s.activity = cleared(s.activity, nVars)
+	s.seen = cleared(s.seen, nVars)
+	s.varInc = 1
+	s.trail = s.trail[:0]
+	s.trailLim = s.trailLim[:0]
+	s.qhead = 0
+	s.conflicts = 0
+}
+
+// cleared returns a zeroed slice of length n, reusing xs's storage when it
+// is large enough.
+func cleared[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
+	}
+	xs = xs[:n]
+	clear(xs)
+	return xs
+}
+
+// lits returns clause c's literals, aliasing the arena.
+func (s *satSolver) lits(c uint32) []slit {
+	n := uint32(s.arena[c])
+	return s.arena[c+1 : c+1+n : c+1+n]
 }
 
 func (s *satSolver) value(l slit) int8 {
@@ -124,41 +160,28 @@ func (s *satSolver) addClause(lits ...slit) bool {
 	case 0:
 		return false
 	case 1:
-		return s.enqueue(out[0], nil) && s.propagate() == nil
+		return s.enqueue(out[0], noReason) && s.propagate() == noReason
 	}
-	c := s.allocClause(out, false)
-	s.attach(c)
-	s.clauses = append(s.clauses, c)
+	s.attach(s.allocClause(out))
 	return true
 }
 
-// allocClause carves a clause from the slab arenas, copying lits.
-func (s *satSolver) allocClause(lits []slit, learned bool) *sclause {
-	if len(s.clauseSlab) == 0 {
-		s.clauseSlab = make([]sclause, 512)
-	}
-	c := &s.clauseSlab[0]
-	s.clauseSlab = s.clauseSlab[1:]
-	if cap(s.litSlab)-len(s.litSlab) < len(lits) {
-		n := 4096
-		if len(lits) > n {
-			n = len(lits)
-		}
-		s.litSlab = make([]slit, 0, n)
-	}
-	start := len(s.litSlab)
-	s.litSlab = append(s.litSlab, lits...)
-	c.lits = s.litSlab[start:len(s.litSlab):len(s.litSlab)]
-	c.learned = learned
+// allocClause appends a clause holding a copy of lits to the arena and
+// returns its reference.
+func (s *satSolver) allocClause(lits []slit) uint32 {
+	c := uint32(len(s.arena))
+	s.arena = append(s.arena, slit(len(lits)))
+	s.arena = append(s.arena, lits...)
 	return c
 }
 
-func (s *satSolver) attach(c *sclause) {
-	s.watches[c.lits[0].not()] = append(s.watches[c.lits[0].not()], c)
-	s.watches[c.lits[1].not()] = append(s.watches[c.lits[1].not()], c)
+func (s *satSolver) attach(c uint32) {
+	w0, w1 := s.arena[c+1].not(), s.arena[c+2].not()
+	s.watches[w0] = append(s.watches[w0], c)
+	s.watches[w1] = append(s.watches[w1], c)
 }
 
-func (s *satSolver) enqueue(l slit, from *sclause) bool {
+func (s *satSolver) enqueue(l slit, from uint32) bool {
 	switch s.value(l) {
 	case 1:
 		return true
@@ -178,8 +201,9 @@ func (s *satSolver) enqueue(l slit, from *sclause) bool {
 	return true
 }
 
-// propagate runs unit propagation; it returns the conflicting clause or nil.
-func (s *satSolver) propagate() *sclause {
+// propagate runs unit propagation; it returns the conflicting clause or
+// noReason.
+func (s *satSolver) propagate() uint32 {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is true
 		s.qhead++
@@ -187,19 +211,21 @@ func (s *satSolver) propagate() *sclause {
 		kept := ws[:0]
 		for wi := 0; wi < len(ws); wi++ {
 			c := ws[wi]
+			lits := s.lits(c)
 			// Ensure the falsified watch is lits[1].
-			if c.lits[0].not() == p {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0].not() == p {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			if s.value(c.lits[0]) == 1 {
+			if s.value(lits[0]) == 1 {
 				kept = append(kept, c)
 				continue
 			}
 			moved := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != -1 {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].not()] = append(s.watches[c.lits[1].not()], c)
+			for k := 2; k < len(lits); k++ {
+				if s.value(lits[k]) != -1 {
+					lits[1], lits[k] = lits[k], lits[1]
+					w := lits[1].not()
+					s.watches[w] = append(s.watches[w], c)
 					moved = true
 					break
 				}
@@ -209,7 +235,7 @@ func (s *satSolver) propagate() *sclause {
 			}
 			// Unit or conflicting.
 			kept = append(kept, c)
-			if !s.enqueue(c.lits[0], c) {
+			if !s.enqueue(lits[0], c) {
 				kept = append(kept, ws[wi+1:]...)
 				s.watches[p] = kept
 				return c
@@ -217,7 +243,7 @@ func (s *satSolver) propagate() *sclause {
 		}
 		s.watches[p] = kept
 	}
-	return nil
+	return noReason
 }
 
 func (s *satSolver) decisionLevel() int { return len(s.trailLim) }
@@ -231,7 +257,7 @@ func (s *satSolver) cancelUntil(lvl int) {
 	for i := len(s.trail) - 1; i >= s.trailLim[lvl]; i-- {
 		v := s.trail[i].variable()
 		s.assign[v] = 0
-		s.reason[v] = nil
+		s.reason[v] = noReason
 	}
 	s.trail = s.trail[:s.trailLim[lvl]]
 	s.trailLim = s.trailLim[:lvl]
@@ -249,15 +275,16 @@ func (s *satSolver) bump(v int) {
 }
 
 // analyze derives the first-UIP learned clause from a conflict; it returns
-// the clause (asserting literal first) and the backjump level.
-func (s *satSolver) analyze(confl *sclause) ([]slit, int) {
-	learnt := []slit{litUndef} // slot 0 = asserting literal
+// the clause (asserting literal first) and the backjump level. The clause
+// aliases the solver's learnt buffer and is valid until the next analyze.
+func (s *satSolver) analyze(confl uint32) ([]slit, int) {
+	learnt := append(s.learnt[:0], litUndef) // slot 0 = asserting literal
 	counter := 0
 	idx := len(s.trail) - 1
 	var p slit = litUndef
 
 	for {
-		for _, q := range confl.lits {
+		for _, q := range s.lits(confl) {
 			if p != litUndef && q == p {
 				continue
 			}
@@ -303,6 +330,7 @@ func (s *satSolver) analyze(confl *sclause) ([]slit, int) {
 		s.seen[l.variable()] = false
 	}
 	s.varInc /= 0.95
+	s.learnt = learnt
 	return learnt, btLevel
 }
 
@@ -329,7 +357,7 @@ func (s *satSolver) solve(assumps []slit, budget int64) satResult {
 
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != noReason {
 			s.conflicts++
 			if s.decisionLevel() <= len(assumps) {
 				// Conflict forced by the assumptions themselves.
@@ -343,13 +371,12 @@ func (s *satSolver) solve(assumps []slit, budget int64) satResult {
 			s.cancelUntil(bt)
 			if len(learnt) == 1 {
 				s.cancelUntil(0)
-				if !s.enqueue(learnt[0], nil) {
+				if !s.enqueue(learnt[0], noReason) {
 					return satFalse
 				}
 			} else {
-				c := s.allocClause(learnt, true)
+				c := s.allocClause(learnt)
 				s.attach(c)
-				s.clauses = append(s.clauses, c)
 				if !s.enqueue(learnt[0], c) {
 					return satFalse
 				}
@@ -377,7 +404,7 @@ func (s *satSolver) solve(assumps []slit, budget int64) satResult {
 				return satFalse
 			default:
 				s.newDecisionLevel()
-				s.enqueue(a, nil)
+				s.enqueue(a, noReason)
 			}
 			continue
 		}
@@ -387,28 +414,29 @@ func (s *satSolver) solve(assumps []slit, budget int64) satResult {
 			return satTrue
 		}
 		s.newDecisionLevel()
-		s.enqueue(next, nil)
+		s.enqueue(next, noReason)
 	}
 }
 
 // coneProver proves pairs of one equivalence class at a time over a Tseitin
 // encoding scoped to the class's union transitive-fanin cone. One instance
-// is private to a build worker and reused across the classes that worker
-// claims: the node→var map and DFS stack are retained scratch (reset via the
-// previous cone's node list, not a full sweep), while each class gets a
-// fresh satSolver sized to its cone. Scoping the solver to the class — not
-// the worker — is what keeps parallel builds byte-identical to sequential:
-// a budget-limited solve outcome depends on the solver's accumulated learned
-// clauses, so every class's verdicts must be a pure function of (graph,
-// class, options), independent of which worker proves it after which other
-// classes. Within a class, learned clauses and activity still carry over
-// across the pair calls via assumption-based solving.
+// is private to a build worker and reused across every class that worker
+// claims, in every level group: the node→var map and DFS stack are retained
+// scratch (reset via the previous cone's node list, not a full sweep), and
+// load reset()s the one embedded satSolver to the new cone's size instead
+// of building a new one. The reset is complete — no clause, watch,
+// assignment, activity or counter survives it — so a class's verdicts,
+// budget-limited ones included, are a pure function of (graph, class,
+// facts, options), independent of which worker proves it after which other
+// classes; that is what keeps parallel builds byte-identical to sequential.
+// Within a class, learned clauses and activity still carry over across the
+// pair calls via assumption-based solving.
 type coneProver struct {
 	g        *aig.AIG
 	node2var []int32  // node id -> dense solver var, -1 outside current cone
 	cone     []uint32 // current class's cone nodes, ascending id
 	stack    []uint32 // DFS scratch
-	s        *satSolver
+	s        satSolver
 	ok       bool // encoding consistent (always true for a well-formed AIG)
 }
 
@@ -422,9 +450,9 @@ func newConeProver(g *aig.AIG) *coneProver {
 
 // load prepares the prover for one class: collect the union transitive-fanin
 // cone of all class nodes, assign dense variables in ascending node-id order
-// (so the clause database is deterministic regardless of DFS order), and
-// encode the cone's AND structure. Var 0 is the constant-false node 0; PIs
-// inside the cone become free variables.
+// (so the clause database is deterministic regardless of DFS order), reset
+// the solver and encode the cone's AND structure. Var 0 is the
+// constant-false node 0; PIs inside the cone become free variables.
 func (p *coneProver) load(class []uint32) {
 	for _, n := range p.cone {
 		p.node2var[n] = -1
@@ -451,12 +479,13 @@ func (p *coneProver) load(class []uint32) {
 		}
 	}
 	p.stack = stack
-	sort.Slice(p.cone, func(i, j int) bool { return p.cone[i] < p.cone[j] })
+	slices.Sort(p.cone)
 	for i, n := range p.cone {
 		p.node2var[n] = int32(i + 1)
 	}
 
-	s := newSatSolver(len(p.cone) + 1)
+	s := &p.s
+	s.reset(len(p.cone) + 1)
 	ok := s.addClause(mkLit(0, true)) // var 0 is constant false
 	lit := func(l aig.Lit) slit {
 		if l.Node() == 0 {
@@ -474,7 +503,7 @@ func (p *coneProver) load(class []uint32) {
 		ok = ok && s.addClause(o.not(), b)
 		ok = ok && s.addClause(o, a.not(), b.not())
 	}
-	p.s, p.ok = s, ok
+	p.ok = ok
 }
 
 // addFact installs a proven equivalence n == m (complemented when compl) as

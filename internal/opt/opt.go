@@ -138,9 +138,21 @@ func balanceWith(g *aig.AIG, build func(*aig.AIG, []aig.Lit, func(aig.Lit) int32
 		*leaves = append(*leaves, l)
 	}
 
-	// levelOf estimates arrival of a rebuilt literal.
+	// levelOf estimates arrival of a rebuilt literal. Levels are kept
+	// locally and extended as out grows, with aig's formula (an AND sits
+	// one above its deeper fanin): out.Level would recompute the whole
+	// graph after every out.And, making the rebuild quadratic.
+	var levels []int32
 	levelOf := func(l aig.Lit) int32 {
-		return out.Level(l.Node())
+		for n := uint32(len(levels)); n < uint32(out.NumNodes()); n++ {
+			lvl := int32(0)
+			if out.IsAnd(n) {
+				f0, f1 := out.Fanins(n)
+				lvl = max(levels[f0.Node()], levels[f1.Node()]) + 1
+			}
+			levels = append(levels, lvl)
+		}
+		return levels[l.Node()]
 	}
 
 	for n := uint32(1); n < uint32(g.NumNodes()); n++ {

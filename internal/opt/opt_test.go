@@ -142,3 +142,79 @@ func randomAIG(seed int64, nPIs, nAnds int) *aig.AIG {
 	}
 	return g
 }
+
+type treeBuilder = func(*aig.AIG, []aig.Lit, func(aig.Lit) int32) aig.Lit
+
+// TestBalanceIncrementalLevelsMatchGraph pins that balanceWith's locally
+// extended level slice is the whole-graph level annotation it replaces:
+// Balance and BalanceSeeded must build exactly the graph an oracle builds
+// when every level query recomputes out.Level, and every level the builder
+// is handed must equal out.Level at the moment it is asked.
+func TestBalanceIncrementalLevelsMatchGraph(t *testing.T) {
+	viaGraph := func(out *aig.AIG, ls []aig.Lit, _ func(aig.Lit) int32) aig.Lit {
+		return buildBalanced(out, ls, func(l aig.Lit) int32 { return out.Level(l.Node()) })
+	}
+	checked := func(build treeBuilder) treeBuilder {
+		return func(out *aig.AIG, ls []aig.Lit, levelOf func(aig.Lit) int32) aig.Lit {
+			for _, l := range ls {
+				if got, want := levelOf(l), out.Level(l.Node()); got != want {
+					t.Fatalf("%s: level of node %d = %d, graph says %d", out.Name, l.Node(), got, want)
+				}
+			}
+			return build(out, ls, levelOf)
+		}
+	}
+	// shuffled replays BalanceSeeded's tie-break in front of build.
+	shuffled := func(seed int64, build treeBuilder) treeBuilder {
+		rng := rand.New(rand.NewSource(seed))
+		return func(out *aig.AIG, ls []aig.Lit, levelOf func(aig.Lit) int32) aig.Lit {
+			if len(ls) > 1 {
+				ls = append([]aig.Lit(nil), ls...)
+				rng.Shuffle(len(ls), func(i, j int) { ls[i], ls[j] = ls[j], ls[i] })
+			}
+			return build(out, ls, levelOf)
+		}
+	}
+	for _, g := range []*aig.AIG{
+		circuits.RippleCarryAdder(16),
+		circuits.ArrayMultiplier(6),
+		circuits.BoothMultiplier(8),
+		circuits.MaxTree(4, 8),
+		circuits.ALUCompare(12),
+	} {
+		b := Balance(g)
+		sameGraph(t, g.Name+"/balance", b, balanceWith(g, viaGraph))
+		sameGraph(t, g.Name+"/balance", b, balanceWith(g, checked(buildBalanced)))
+		for _, seed := range []int64{1, 1 + 0x9e3779b9} {
+			s := BalanceSeeded(g, seed)
+			sameGraph(t, g.Name+"/seeded", s, balanceWith(g, shuffled(seed, viaGraph)))
+			sameGraph(t, g.Name+"/seeded", s, balanceWith(g, shuffled(seed, checked(buildBalanced))))
+		}
+	}
+}
+
+// sameGraph fails unless a and b are structurally identical: same nodes
+// with the same fanins in the same order, same PIs and POs.
+func sameGraph(t *testing.T, what string, a, b *aig.AIG) {
+	t.Helper()
+	if a.NumNodes() != b.NumNodes() || a.NumPIs() != b.NumPIs() || a.NumPOs() != b.NumPOs() {
+		t.Fatalf("%s: %s vs %s", what, a.Stats(), b.Stats())
+	}
+	for n := uint32(1); n < uint32(a.NumNodes()); n++ {
+		if a.IsAnd(n) != b.IsAnd(n) {
+			t.Fatalf("%s: node %d kind differs", what, n)
+		}
+		if a.IsAnd(n) {
+			a0, a1 := a.Fanins(n)
+			b0, b1 := b.Fanins(n)
+			if a0 != b0 || a1 != b1 {
+				t.Fatalf("%s: node %d fanins (%d, %d) vs (%d, %d)", what, n, a0, a1, b0, b1)
+			}
+		}
+	}
+	for i, po := range a.POs() {
+		if po != b.POs()[i] {
+			t.Fatalf("%s: PO %d %+v vs %+v", what, i, po, b.POs()[i])
+		}
+	}
+}
