@@ -9,72 +9,85 @@ import (
 	"slap/internal/nn"
 )
 
-// Options configures an Engine.
-type Options struct {
-	// Workers parallelises the GEMM tile loops across goroutines (0 or 1 =
-	// single-threaded). Tiles write disjoint output ranges and each output
-	// element keeps its sequential accumulation order, so results are
-	// identical for any worker count. Parallel tiles only engage in passes
-	// large enough for the fan-out to pay for itself.
-	Workers int
-}
+// Options configures an Engine. It has no fields: the engine runs each call
+// on the calling goroutine, and the mapping workers that call it already
+// supply the parallelism. The type stays so callers keep one constructor
+// signature.
+type Options struct{}
 
 // passSize is the most samples one internal forward pass carries. A node
 // can carry hundreds of cuts; running them in bounded passes over one
-// pooled scratch keeps that scratch at passSize samples (~1.4 MB for the
-// paper's 128-filter model) instead of ~22 KB times the largest batch ever
-// seen. Per-node batches already fill the GEMM tiles at this size.
+// pooled scratch keeps that scratch at passSize samples instead of growing
+// with the largest batch ever seen. Per-node batches already fill the GEMM
+// tiles at this size.
 const passSize = 64
 
-// minParallelBatch is the pass size below which the tile loops stay
-// sequential even with Workers > 1: a goroutine hand-off costs more than a
-// small pass's whole GEMM.
-const minParallelBatch = 64
+// Block sizes of the padded layout. lanes is the SIMD width in samples (one
+// YMM register holds four float64 lanes): a pass pads its sample count to a
+// multiple of it. filterBlock and classBlock are the filter and class rows of
+// the conv and dense micro-kernels; the engine's weight copies pad Filters
+// and Classes to them with zero rows, so no kernel has a row tail.
+const (
+	lanes       = 4
+	filterBlock = 4
+	classBlock  = 5
+)
 
-// Engine runs the cut classifier as blocked, cache-tiled GEMMs over a batch
-// of embeddings. It reads the model weights only (never mutates them), so
-// one Engine may be shared across goroutines; scratch matrices are pooled
-// per call and sized for one pass. See the package comment for the matrix
-// layout.
+// Engine runs the cut classifier as blocked GEMMs over a batch of
+// embeddings, one SIMD lane per sample. It reads the model weights only
+// (never mutates them), so one Engine may be shared across goroutines;
+// scratch matrices are pooled per call and sized for one pass. See the
+// package comment for the matrix layout.
 type Engine struct {
 	m       *nn.Model
-	workers int
 	scratch sync.Pool // *scratch
 
-	// denseWT is the dense weight matrix transposed to class-major rows
-	// (denseWT[k*Classes+c] = DenseW[c*flat+k]), built once when the AVX
-	// dense kernel is available so its 8 class lanes load contiguously.
-	denseWT []float64
+	// Padded, transposed weight copies built once by NewEngine. fp and cp
+	// are Filters and Classes rounded up to filterBlock and classBlock; the
+	// padding rows are zero and their outputs are never read.
+	fp, cp  int
+	convWT  []float64 // Rows × fp: convWT[i·fp+f] = ConvW[f·Rows+i]
+	convB   []float64 // fp
+	denseWT []float64 // flat × cp: denseWT[k·cp+c] = DenseW[c·flat+k]
+	denseB  []float64 // cp
 }
 
 // scratch holds one pass's working matrices, pooled across ForwardBatch
-// calls and never larger than passSize samples.
+// calls and never larger than passSize samples (padded to lanes).
 type scratch struct {
-	xn     []float64 // Rows × (Cols·B): normalised inputs; column b·Cols+j
-	conv   []float64 // Filters × (Cols·B): post-ReLU conv activations
-	act    []float64 // B × (Filters·Cols): sample-major repack for the dense GEMM
-	logits []float64 // B × Classes
+	xn     []float64 // (Rows·Cols) × bp: xn[e·bp+b] = normalised element e of sample b
+	conv   []float64 // fp × (Cols·bp): post-ReLU conv output = the dense operand
+	logits []float64 // cp × bp
 }
 
 // NewEngine returns a batched GEMM backend over m.
-func NewEngine(m *nn.Model, opt Options) *Engine {
-	w := opt.Workers
-	if w < 1 {
-		w = 1
+func NewEngine(m *nn.Model, _ Options) *Engine {
+	flat := m.Filters * m.Cols
+	e := &Engine{
+		m:  m,
+		fp: roundUp(m.Filters, filterBlock),
+		cp: roundUp(m.Classes, classBlock),
 	}
-	e := &Engine{m: m, workers: w}
-	if hasAVX && m.Classes >= 8 {
-		flat := m.Filters * m.Cols
-		wT := make([]float64, flat*m.Classes)
-		for c := 0; c < m.Classes; c++ {
-			for k := 0; k < flat; k++ {
-				wT[k*m.Classes+c] = m.DenseW[c*flat+k]
-			}
+	e.convWT = make([]float64, m.Rows*e.fp)
+	e.convB = make([]float64, e.fp)
+	copy(e.convB, m.ConvB)
+	for f := 0; f < m.Filters; f++ {
+		for i := 0; i < m.Rows; i++ {
+			e.convWT[i*e.fp+f] = m.ConvW[f*m.Rows+i]
 		}
-		e.denseWT = wT
+	}
+	e.denseWT = make([]float64, flat*e.cp)
+	e.denseB = make([]float64, e.cp)
+	copy(e.denseB, m.DenseB)
+	for c := 0; c < m.Classes; c++ {
+		for k := 0; k < flat; k++ {
+			e.denseWT[k*e.cp+c] = m.DenseW[c*flat+k]
+		}
 	}
 	return e
 }
+
+func roundUp(n, to int) int { return (n + to - 1) / to * to }
 
 // Classes implements Backend.
 func (e *Engine) Classes() int { return e.m.Classes }
@@ -94,9 +107,8 @@ func (e *Engine) PredictBatch(ctx context.Context, xs [][]float64) ([][]float64,
 
 // ForwardBatch implements Backend: probabilities for every input, computed
 // in passes of at most passSize samples over one pooled scratch. Each pass
-// runs three blocked matrix stages (pack+normalise, conv GEMM, dense GEMM +
-// softmax) with a repack between the two GEMMs and writes its rows of one
-// shared output slab.
+// runs pack+normalise, the conv GEMM and the dense GEMM + softmax, and
+// writes its rows of one shared output slab.
 func (e *Engine) ForwardBatch(xs [][]float64) ([][]float64, error) {
 	m := e.m
 	bsz := len(xs)
@@ -110,7 +122,7 @@ func (e *Engine) ForwardBatch(xs [][]float64) ([][]float64, error) {
 		}
 	}
 
-	sc := e.getScratch(min(bsz, passSize))
+	sc := e.getScratch(roundUp(min(bsz, passSize), lanes))
 	defer e.scratch.Put(sc)
 
 	// The output slab is handed to callers and so cannot be pooled.
@@ -126,37 +138,28 @@ func (e *Engine) ForwardBatch(xs [][]float64) ([][]float64, error) {
 	return out, nil
 }
 
-// forward runs one pass of at most passSize samples through sc.
+// forward runs one pass of at most passSize samples through sc. The sample
+// count is padded to bp lanes; padding lanes carry stale scratch values
+// through every stage and are never read back, since no stage mixes lanes.
 func (e *Engine) forward(xs, out [][]float64, sc *scratch) {
-	m := e.m
-	bsz := len(xs)
-	cb := m.Cols * bsz
-	flat := m.Filters * m.Cols
-	workers := e.workers
-	if bsz < minParallelBatch {
-		workers = 1
+	bp := roundUp(len(xs), lanes)
+	e.pack(xs, sc.xn, bp)
+	e.conv(sc.xn, sc.conv, bp)
+	e.dense(sc.conv, sc.logits, bp)
+	for b := range xs {
+		softmax(sc.logits[b:], bp, out[b])
 	}
-	parallelFor(workers, bsz, func(lo, hi int) { e.pack(xs, sc, cb, lo, hi) })
-	parallelFor(workers, m.Filters, func(lo, hi int) { e.convTile(sc, cb, lo, hi) })
-	parallelFor(workers, bsz, func(lo, hi int) {
-		e.repack(sc, cb, flat, lo, hi)
-		e.denseTile(sc, flat, lo, hi)
-		for b := lo; b < hi; b++ {
-			softmax(sc.logits[b*m.Classes:(b+1)*m.Classes], out[b])
-		}
-	})
 }
 
-func (e *Engine) getScratch(bsz int) *scratch {
+func (e *Engine) getScratch(bp int) *scratch {
 	m := e.m
 	sc, _ := e.scratch.Get().(*scratch)
 	if sc == nil {
 		sc = &scratch{}
 	}
-	sc.xn = grow(sc.xn, m.Rows*m.Cols*bsz)
-	sc.conv = grow(sc.conv, m.Filters*m.Cols*bsz)
-	sc.act = grow(sc.act, m.Filters*m.Cols*bsz)
-	sc.logits = grow(sc.logits, m.Classes*bsz)
+	sc.xn = grow(sc.xn, m.Rows*m.Cols*bp)
+	sc.conv = grow(sc.conv, e.fp*m.Cols*bp)
+	sc.logits = grow(sc.logits, e.cp*bp)
 	return sc
 }
 
@@ -167,181 +170,75 @@ func grow(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// parallelFor splits [0,n) into contiguous chunks across workers; one
-// worker runs inline. Chunks are disjoint, so f must only write within its
-// range.
-func parallelFor(workers, n int, f func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		f(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// pack normalises samples [lo,hi) into the conv-ready layout: element
-// (i, b·Cols+j) of a Rows × (Cols·B) matrix.
-func (e *Engine) pack(xs [][]float64, sc *scratch, cb, lo, hi int) {
+// pack normalises the samples into the lane layout: xn is a (Rows·Cols) × bp
+// matrix whose element (e, b) is (x_b[e] - Mean[e]) / Std[e]. Row i·Cols+j is
+// also column block j of input row i, so xn doubles as the conv GEMM's
+// Rows × (Cols·bp) operand with column j·bp+b. The AVX path transposes four
+// samples at a time in registers; element and sample tails run the scalar
+// loop, which rounds identically.
+func (e *Engine) pack(xs [][]float64, xn []float64, bp int) {
 	m := e.m
-	for b := lo; b < hi; b++ {
-		x := xs[b]
-		for i := 0; i < m.Rows; i++ {
-			src := x[i*m.Cols : (i+1)*m.Cols]
-			mean := m.Mean[i*m.Cols : (i+1)*m.Cols]
-			std := m.Std[i*m.Cols : (i+1)*m.Cols]
-			dst := sc.xn[i*cb+b*m.Cols : i*cb+(b+1)*m.Cols]
-			for j := range dst {
-				dst[j] = (src[j] - mean[j]) / std[j]
-			}
-		}
-	}
-}
-
-// convColTile is the column-tile width of the conv GEMM: every filter
-// re-reads all Rows packed-input rows, so the tile is sized to keep a full
-// Rows × convColTile block (≈23 KB at 15 rows) L1-resident while the whole
-// filter bank streams over it. Without the tiling, the row stride grows
-// with the batch and every weight step takes an L1 miss.
-const convColTile = 192
-
-// convTile computes filters [lo,hi) of the conv GEMM — ConvW (Filters×Rows)
-// times the packed inputs (Rows×(Cols·B)) — with ReLU fused into the store.
-// The micro-kernel covers two filters by four columns: eight independent
-// accumulator chains sharing every input load, the same register-exact shape
-// as densePair (8 accumulators + 2 weights + 4 inputs + 1 product temp fills
-// the 15 usable XMM registers without spilling). Each accumulator still
-// starts from the bias and adds in ascending row order, exactly like
-// nn.Model's forward.
-func (e *Engine) convTile(sc *scratch, cb, lo, hi int) {
-	m := e.m
+	in := m.Rows * m.Cols
+	b := 0
 	if hasAVX {
-		e.convTileAVX(sc, cb, lo, hi)
-		return
+		n := in &^ (lanes - 1)
+		for ; b+lanes <= len(xs); b += lanes {
+			packAVX(&xs[b][0], &xs[b+1][0], &xs[b+2][0], &xs[b+3][0], &m.Mean[0], &m.Std[0], &xn[b], n, bp)
+			for t := b; t < b+lanes; t++ {
+				packSample(xs[t], m.Mean, m.Std, xn, t, bp, n)
+			}
+		}
 	}
-	for t0 := 0; t0 < cb; t0 += convColTile {
-		t1 := min(t0+convColTile, cb)
-		f := lo
-		for ; f+1 < hi; f += 2 {
-			w0 := m.ConvW[f*m.Rows : (f+1)*m.Rows]
-			w1 := m.ConvW[(f+1)*m.Rows : (f+2)*m.Rows]
-			b0, b1 := m.ConvB[f], m.ConvB[f+1]
-			row0 := sc.conv[f*cb : (f+1)*cb]
-			row1 := sc.conv[(f+1)*cb : (f+2)*cb]
-			col := t0
-			for ; col+4 <= t1; col += 4 {
-				a00, a01, a02, a03 := b0, b0, b0, b0
-				a10, a11, a12, a13 := b1, b1, b1, b1
-				off := col
-				for i := 0; i < m.Rows; i++ {
-					x := sc.xn[off : off+4 : off+4]
-					w0v, w1v := w0[i], w1[i]
-					a00 += w0v * x[0]
-					a01 += w0v * x[1]
-					a02 += w0v * x[2]
-					a03 += w0v * x[3]
-					a10 += w1v * x[0]
-					a11 += w1v * x[1]
-					a12 += w1v * x[2]
-					a13 += w1v * x[3]
-					off += cb
-				}
-				row0[col+0] = relu(a00)
-				row0[col+1] = relu(a01)
-				row0[col+2] = relu(a02)
-				row0[col+3] = relu(a03)
-				row1[col+0] = relu(a10)
-				row1[col+1] = relu(a11)
-				row1[col+2] = relu(a12)
-				row1[col+3] = relu(a13)
-			}
-			for ; col < t1; col++ {
-				a0, a1 := b0, b1
-				off := col
-				for i := 0; i < m.Rows; i++ {
-					xv := sc.xn[off]
-					a0 += w0[i] * xv
-					a1 += w1[i] * xv
-					off += cb
-				}
-				row0[col] = relu(a0)
-				row1[col] = relu(a1)
-			}
-		}
-		if f < hi {
-			w := m.ConvW[f*m.Rows : (f+1)*m.Rows]
-			bias := m.ConvB[f]
-			row := sc.conv[f*cb : (f+1)*cb]
-			col := t0
-			for ; col+4 <= t1; col += 4 {
-				a0, a1, a2, a3 := bias, bias, bias, bias
-				off := col
-				for i := 0; i < m.Rows; i++ {
-					x := sc.xn[off : off+4 : off+4]
-					wv := w[i]
-					a0 += wv * x[0]
-					a1 += wv * x[1]
-					a2 += wv * x[2]
-					a3 += wv * x[3]
-					off += cb
-				}
-				row[col+0] = relu(a0)
-				row[col+1] = relu(a1)
-				row[col+2] = relu(a2)
-				row[col+3] = relu(a3)
-			}
-			for ; col < t1; col++ {
-				a := bias
-				off := col
-				for i := 0; i < m.Rows; i++ {
-					a += w[i] * sc.xn[off]
-					off += cb
-				}
-				row[col] = relu(a)
-			}
-		}
+	for ; b < len(xs); b++ {
+		packSample(xs[b], m.Mean, m.Std, xn, b, bp, 0)
 	}
 }
 
-// convTileAVX is the amd64 fast path of convTile: the vector micro-kernel
-// handles 8 columns per step and the sub-8 tile remainder falls back to the
-// scalar loop. Both produce bit-identical results (see convFilterAVX), so
-// tails and the portable path never diverge from the fast path.
-func (e *Engine) convTileAVX(sc *scratch, cb, lo, hi int) {
+// packSample normalises elements [from, len(x)) of sample b into lane b.
+func packSample(x, mean, std, xn []float64, b, bp, from int) {
+	for i := from; i < len(x); i++ {
+		xn[i*bp+b] = (x[i] - mean[i]) / std[i]
+	}
+}
+
+// conv computes the conv GEMM with ReLU fused into the store: convWTᵀ
+// (fp × Rows) times xn (Rows × (Cols·bp)), giving fp × (Cols·bp) with column
+// j·bp+b. Row f, column block j is row f·Cols+j of a (Filters·Cols) × bp
+// matrix, which is the dense GEMM's operand (flat activation index × sample
+// lane) as it stands. Every output element starts from the bias and adds in
+// ascending row order, as in nn.Model's forward; the ReLU maps NaN and -0 to
+// +0 like the scalar "v > 0 ? v : 0".
+func (e *Engine) conv(xn, out []float64, bp int) {
 	m := e.m
-	for t0 := 0; t0 < cb; t0 += convColTile {
-		t1 := min(t0+convColTile, cb)
-		n := (t1 - t0) &^ 7
-		for f := lo; f < hi; f++ {
-			w := m.ConvW[f*m.Rows : (f+1)*m.Rows]
-			bias := m.ConvB[f]
-			row := sc.conv[f*cb : (f+1)*cb]
-			if n > 0 {
-				convFilterAVX(&sc.xn[t0], &w[0], &row[t0], m.Rows, cb, n, bias)
+	cb := m.Cols * bp
+	if hasAVX {
+		convAVX(&xn[0], &e.convWT[0], &e.convB[0], &out[0], m.Rows, cb, e.fp)
+		return
+	}
+	// Portable micro-kernel: 2 filters × 4 columns, eight independent
+	// accumulator chains sharing every input load.
+	fp := e.fp
+	for col := 0; col < cb; col += lanes {
+		for f := 0; f < fp; f += 2 {
+			b0, b1 := e.convB[f], e.convB[f+1]
+			a00, a01, a02, a03 := b0, b0, b0, b0
+			a10, a11, a12, a13 := b1, b1, b1, b1
+			for i := 0; i < m.Rows; i++ {
+				x := xn[i*cb+col : i*cb+col+lanes : i*cb+col+lanes]
+				w0, w1 := e.convWT[i*fp+f], e.convWT[i*fp+f+1]
+				a00 += w0 * x[0]
+				a01 += w0 * x[1]
+				a02 += w0 * x[2]
+				a03 += w0 * x[3]
+				a10 += w1 * x[0]
+				a11 += w1 * x[1]
+				a12 += w1 * x[2]
+				a13 += w1 * x[3]
 			}
-			for col := t0 + n; col < t1; col++ {
-				a := bias
-				off := col
-				for i := 0; i < m.Rows; i++ {
-					a += w[i] * sc.xn[off]
-					off += cb
-				}
-				row[col] = relu(a)
-			}
+			r0 := out[f*cb+col : f*cb+col+lanes : f*cb+col+lanes]
+			r1 := out[(f+1)*cb+col : (f+1)*cb+col+lanes : (f+1)*cb+col+lanes]
+			r0[0], r0[1], r0[2], r0[3] = relu(a00), relu(a01), relu(a02), relu(a03)
+			r1[0], r1[1], r1[2], r1[3] = relu(a10), relu(a11), relu(a12), relu(a13)
 		}
 	}
 }
@@ -353,152 +250,50 @@ func relu(v float64) float64 {
 	return 0
 }
 
-// repack transposes samples [lo,hi) of the conv output from filter-major
-// (Filters × Cols·B) to the sample-major layout (B × Filters·Cols) the
-// dense GEMM streams, matching the flat index f·Cols+j of the per-sample
-// activation vector.
-func (e *Engine) repack(sc *scratch, cb, flat, lo, hi int) {
+// dense computes the logits as a cp × bp matrix, one lane per sample:
+// denseWTᵀ (cp × flat) times the conv output read as flat × bp. Every class
+// is vectorised across samples; each output element accumulates bias-first
+// in ascending k order, as in nn.Model's forward.
+func (e *Engine) dense(act, logits []float64, bp int) {
 	m := e.m
-	for b := lo; b < hi; b++ {
-		for f := 0; f < m.Filters; f++ {
-			copy(sc.act[b*flat+f*m.Cols:b*flat+(f+1)*m.Cols],
-				sc.conv[f*cb+b*m.Cols:f*cb+(b+1)*m.Cols])
-		}
-	}
-}
-
-// denseTile computes logits for samples [lo,hi): DenseW (Classes×flat)
-// times the activations (flat×B). The micro-kernel covers two samples by
-// four classes — eight independent accumulator chains sharing every weight
-// and activation load — so the 1280-long dot products run near one
-// multiply-add per cycle instead of one per FP-add latency. Accumulation
-// order per output element is bias-first ascending-k, as in the per-sample
-// path.
-func (e *Engine) denseTile(sc *scratch, flat, lo, hi int) {
-	if hasAVX && e.denseWT != nil {
-		e.denseTileAVX(sc, flat, lo, hi)
+	flat := m.Filters * m.Cols
+	if hasAVX {
+		denseAVX(&act[0], &e.denseWT[0], &e.denseB[0], &logits[0], flat, bp, e.cp)
 		return
 	}
-	b := lo
-	for ; b+1 < hi; b += 2 {
-		e.densePair(sc, flat, b)
-	}
-	if b < hi {
-		e.denseOne(sc, flat, b)
-	}
-}
-
-// denseTileAVX is the amd64 fast path of denseTile: the vector micro-kernel
-// covers 8 classes per step over the transposed weights and the sub-8 class
-// remainder falls back to the scalar loop. Both produce bit-identical
-// results (see denseLogitsAVX), so tails and the portable path never
-// diverge from the fast path.
-func (e *Engine) denseTileAVX(sc *scratch, flat, lo, hi int) {
-	m := e.m
-	w8 := m.Classes &^ 7
-	for b := lo; b < hi; b++ {
-		x := sc.act[b*flat : (b+1)*flat]
-		l := sc.logits[b*m.Classes : (b+1)*m.Classes]
-		if w8 > 0 && flat > 0 {
-			denseLogitsAVX(&x[0], &e.denseWT[0], &m.DenseB[0], &l[0], flat, m.Classes, w8)
-		}
-		for c := w8; c < m.Classes; c++ {
-			w := m.DenseW[c*flat : (c+1)*flat]
-			a := m.DenseB[c]
+	// Portable micro-kernel: 1 class × 4 samples, skipping padding classes.
+	cp := e.cp
+	for s := 0; s < bp; s += lanes {
+		for c := 0; c < m.Classes; c++ {
+			bias := e.denseB[c]
+			a0, a1, a2, a3 := bias, bias, bias, bias
 			for k := 0; k < flat; k++ {
-				a += w[k] * x[k]
+				w := e.denseWT[k*cp+c]
+				x := act[k*bp+s : k*bp+s+lanes : k*bp+s+lanes]
+				a0 += w * x[0]
+				a1 += w * x[1]
+				a2 += w * x[2]
+				a3 += w * x[3]
 			}
-			l[c] = a
+			l := logits[c*bp+s : c*bp+s+lanes : c*bp+s+lanes]
+			l[0], l[1], l[2], l[3] = a0, a1, a2, a3
 		}
 	}
 }
 
-func (e *Engine) densePair(sc *scratch, flat, b int) {
-	m := e.m
-	x0 := sc.act[b*flat : (b+1)*flat]
-	x1 := sc.act[(b+1)*flat : (b+2)*flat]
-	l0 := sc.logits[b*m.Classes : (b+1)*m.Classes]
-	l1 := sc.logits[(b+1)*m.Classes : (b+2)*m.Classes]
-	c := 0
-	for ; c+4 <= m.Classes; c += 4 {
-		w0 := m.DenseW[(c+0)*flat : (c+1)*flat]
-		w1 := m.DenseW[(c+1)*flat : (c+2)*flat]
-		w2 := m.DenseW[(c+2)*flat : (c+3)*flat]
-		w3 := m.DenseW[(c+3)*flat : (c+4)*flat]
-		a00, a01 := m.DenseB[c+0], m.DenseB[c+0]
-		a10, a11 := m.DenseB[c+1], m.DenseB[c+1]
-		a20, a21 := m.DenseB[c+2], m.DenseB[c+2]
-		a30, a31 := m.DenseB[c+3], m.DenseB[c+3]
-		for k := 0; k < flat; k++ {
-			x0v, x1v := x0[k], x1[k]
-			a00 += w0[k] * x0v
-			a01 += w0[k] * x1v
-			a10 += w1[k] * x0v
-			a11 += w1[k] * x1v
-			a20 += w2[k] * x0v
-			a21 += w2[k] * x1v
-			a30 += w3[k] * x0v
-			a31 += w3[k] * x1v
-		}
-		l0[c+0], l1[c+0] = a00, a01
-		l0[c+1], l1[c+1] = a10, a11
-		l0[c+2], l1[c+2] = a20, a21
-		l0[c+3], l1[c+3] = a30, a31
-	}
-	for ; c < m.Classes; c++ {
-		w := m.DenseW[c*flat : (c+1)*flat]
-		a0, a1 := m.DenseB[c], m.DenseB[c]
-		for k := 0; k < flat; k++ {
-			wv := w[k]
-			a0 += wv * x0[k]
-			a1 += wv * x1[k]
-		}
-		l0[c], l1[c] = a0, a1
-	}
-}
-
-func (e *Engine) denseOne(sc *scratch, flat, b int) {
-	m := e.m
-	x := sc.act[b*flat : (b+1)*flat]
-	l := sc.logits[b*m.Classes : (b+1)*m.Classes]
-	c := 0
-	for ; c+4 <= m.Classes; c += 4 {
-		w0 := m.DenseW[(c+0)*flat : (c+1)*flat]
-		w1 := m.DenseW[(c+1)*flat : (c+2)*flat]
-		w2 := m.DenseW[(c+2)*flat : (c+3)*flat]
-		w3 := m.DenseW[(c+3)*flat : (c+4)*flat]
-		a0, a1, a2, a3 := m.DenseB[c+0], m.DenseB[c+1], m.DenseB[c+2], m.DenseB[c+3]
-		for k := 0; k < flat; k++ {
-			xv := x[k]
-			a0 += w0[k] * xv
-			a1 += w1[k] * xv
-			a2 += w2[k] * xv
-			a3 += w3[k] * xv
-		}
-		l[c+0], l[c+1], l[c+2], l[c+3] = a0, a1, a2, a3
-	}
-	for ; c < m.Classes; c++ {
-		w := m.DenseW[c*flat : (c+1)*flat]
-		a := m.DenseB[c]
-		for k := 0; k < flat; k++ {
-			a += w[k] * x[k]
-		}
-		l[c] = a
-	}
-}
-
-// softmax fills out with the stable softmax of logits, using the same
-// max-subtract / exp / normalise operation order as the per-sample path.
-func softmax(logits, out []float64) {
+// softmax fills out with the stable softmax of one sample's logits, read at
+// logits[c·stride], using the same max-subtract / exp / normalise operation
+// order as the per-sample path.
+func softmax(logits []float64, stride int, out []float64) {
 	maxv := math.Inf(-1)
-	for _, v := range logits {
-		if v > maxv {
+	for c := range out {
+		if v := logits[c*stride]; v > maxv {
 			maxv = v
 		}
 	}
 	var sum float64
-	for c, v := range logits {
-		out[c] = math.Exp(v - maxv)
+	for c := range out {
+		out[c] = math.Exp(logits[c*stride] - maxv)
 		sum += out[c]
 	}
 	for c := range out {

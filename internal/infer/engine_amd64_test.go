@@ -2,85 +2,82 @@
 
 package infer
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
 
-// TestEngineScalarFallback forces the portable conv path on AVX hosts so the
-// non-amd64 code keeps its bit-identity guarantee under test. hasAVX is a
-// package var only on amd64, hence the build tag.
-// TestDenseScalarFallback pins the AVX dense GEMM kernel to the per-sample
-// forward pass bit for bit — including the scalar class tail (10 classes =
-// one 8-wide vector step + 2 scalar) and a narrow model whose class count
-// never reaches the vector width — and then forces the scalar dense path
-// for the same comparison.
-func TestDenseScalarFallback(t *testing.T) {
+// forEachPath runs f on every kernel path this host can run: the AVX
+// kernels when the CPU has them, then the portable Go kernels, forced by
+// clearing hasAVX (a package variable only on amd64, hence the build tag).
+func forEachPath(t *testing.T, f func(t *testing.T)) {
+	if hasAVX {
+		t.Run("avx", f)
+		hasAVX = false
+		defer func() { hasAVX = true }()
+	}
+	t.Run("portable", f)
+}
+
+// TestEngineScalarFallback forces the portable kernels on AVX hosts so the
+// non-amd64 code keeps its bit-identity guarantee under test, on the shipped
+// 32-filter and the paper's 128-filter shapes, across lane tails and a
+// multi-pass batch.
+func TestEngineScalarFallback(t *testing.T) {
 	if !hasAVX {
-		t.Skip("no AVX: dense kernel not in play")
+		t.Skip("already running the portable path")
 	}
-	for _, classes := range []int{10, 6} {
-		m := randomModel(15, 10, 64, classes, 47)
-		eng := NewEngine(m, Options{})
-		if classes >= 8 && eng.denseWT == nil {
-			t.Fatalf("classes=%d: transposed dense weights not built", classes)
-		}
-		if classes < 8 && eng.denseWT != nil {
-			t.Fatalf("classes=%d: unexpected transposed weights for sub-vector width", classes)
-		}
-		xs := randomBatch(m, 9, int64(300+classes))
-		got, err := eng.ForwardBatch(xs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, x := range xs {
-			want := m.Predict(x)
-			for c := range want {
-				if got[i][c] != want[c] {
-					t.Fatalf("classes=%d sample %d class %d: AVX dense path diverged", classes, i, c)
-				}
-			}
-		}
-	}
-
-	// Forced fallback: denseWT present but the AVX gate off must route
-	// through densePair/denseOne and still match exactly.
-	m := randomModel(15, 10, 64, 10, 48)
-	eng := NewEngine(m, Options{})
 	hasAVX = false
 	defer func() { hasAVX = true }()
-	xs := randomBatch(m, 5, 301)
-	got, err := eng.ForwardBatch(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range xs {
-		want := m.Predict(x)
-		for c := range want {
-			if got[i][c] != want[c] {
-				t.Fatalf("sample %d class %d: forced scalar dense path diverged", i, c)
+
+	for _, filters := range []int{32, 128} {
+		m := randomModel(15, 10, filters, 10, 43)
+		eng := NewEngine(m, Options{})
+		for _, bsz := range []int{1, 7, 64, 2*passSize + 3} {
+			xs := randomBatch(m, bsz, int64(200+bsz))
+			got, err := eng.ForwardBatch(xs)
+			if err != nil {
+				t.Fatal(err)
 			}
+			requireBitsEqual(t, m, xs, got)
 		}
 	}
 }
 
-func TestEngineScalarFallback(t *testing.T) {
+// TestDenseScalarFallback pins the AVX dense kernel to the portable one on
+// the same conv output, logit for logit and bit for bit. Class counts cover
+// a whole class block (5), the shipped 10, and padded blocks (1, 3, 12);
+// bp values cover whole 8-sample blocks, the 4-sample remainder, and both.
+func TestDenseScalarFallback(t *testing.T) {
 	if !hasAVX {
-		t.Skip("already running the scalar path")
+		t.Skip("no AVX: dense kernel not in play")
 	}
-	hasAVX = false
-	defer func() { hasAVX = true }()
-
-	m := randomModel(15, 10, 128, 10, 43)
-	eng := NewEngine(m, Options{})
-	for _, bsz := range []int{1, 7, 64} {
-		xs := randomBatch(m, bsz, int64(200+bsz))
-		got, err := eng.ForwardBatch(xs)
-		if err != nil {
-			t.Fatal(err)
+	for _, classes := range []int{1, 3, 5, 10, 12} {
+		m := randomModel(15, 10, 32, classes, int64(47+classes))
+		eng := NewEngine(m, Options{})
+		if eng.cp%classBlock != 0 || eng.cp < classes || len(eng.denseWT) != m.Filters*m.Cols*eng.cp {
+			t.Fatalf("classes=%d: padded dense weights are %d classes, %d values", classes, eng.cp, len(eng.denseWT))
 		}
-		for i, x := range xs {
-			want := m.Predict(x)
-			for c := range want {
-				if got[i][c] != want[c] {
-					t.Fatalf("batch %d sample %d class %d: scalar path diverged", bsz, i, c)
+		for _, bp := range []int{4, 8, 12, 64} {
+			rng := rand.New(rand.NewSource(int64(bp)))
+			act := make([]float64, m.Filters*m.Cols*bp)
+			for i := range act {
+				act[i] = relu(rng.NormFloat64())
+			}
+			avx := make([]float64, eng.cp*bp)
+			eng.dense(act, avx, bp)
+			hasAVX = false
+			portable := make([]float64, eng.cp*bp)
+			eng.dense(act, portable, bp)
+			hasAVX = true
+			for c := 0; c < classes; c++ {
+				for b := 0; b < bp; b++ {
+					a, p := avx[c*bp+b], portable[c*bp+b]
+					if math.Float64bits(a) != math.Float64bits(p) {
+						t.Fatalf("classes=%d bp=%d class %d lane %d: AVX %#x, portable %#x",
+							classes, bp, c, b, math.Float64bits(a), math.Float64bits(p))
+					}
 				}
 			}
 		}

@@ -2,17 +2,21 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"regexp"
+	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"slap/internal/aig"
 	"slap/internal/circuits"
+	"slap/internal/core"
 	"slap/internal/cuts"
 	"slap/internal/library"
 	"slap/internal/mapper"
@@ -188,22 +192,44 @@ func TestMapResultCacheECO(t *testing.T) {
 	}
 }
 
+// heldBatcher holds PredictBatch calls until some other goroutine is inside
+// a mapcache.Flight.Do call (or the call's context ends), then delegates to
+// inner. Run inside a flight's leader, it keeps that flight open until a
+// second identical submission has joined it.
+type heldBatcher struct {
+	inner    core.Batcher
+	released atomic.Bool
+}
+
+func (h *heldBatcher) PredictBatch(ctx context.Context, xs [][]float64) ([][]float64, error) {
+	buf := make([]byte, 1<<20)
+	// The leader's own stack is one of the goroutines inside Flight.Do.
+	for !h.released.Load() {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		if strings.Count(stacks, "mapcache.(*Flight[...]).Do(") >= 2 {
+			h.released.Store(true)
+			break
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		runtime.Gosched()
+	}
+	return h.inner.PredictBatch(ctx, xs)
+}
+
 // TestClassifySingleflight pins the /v1/classify dedup: two concurrent
-// identical submissions (rendezvoused via the fault hook so both are in
-// flight) share one classification run.
+// identical submissions share one classification run. The leader's run —
+// the only one that reaches the model's engine — is held at its first
+// inference call until the second submission is waiting in the same
+// flight, so the test does not depend on how fast the classification is.
 func TestClassifySingleflight(t *testing.T) {
 	srv, ts := newTestServer(t, Config{WorkerBudget: 4})
-	var arrived atomic.Int32
-	gate := make(chan struct{})
-	srv.faultHook = func(endpoint string) {
-		if endpoint != "/v1/classify" {
-			return
-		}
-		if arrived.Add(1) == 2 {
-			close(gate)
-		}
-		<-gate
-	}
+	srv.reg.mu.Lock()
+	toy := srv.reg.models["toy"]
+	toy.engine = &heldBatcher{inner: toy.engine}
+	srv.reg.models["toy"] = toy
+	srv.reg.mu.Unlock()
 
 	var mu sync.Mutex
 	var results []ClassifyResponse
